@@ -1,352 +1,139 @@
-"""int64 screening kernels for the candidate-generation hot loop.
+"""The generator's screening objective: one minor plan, evaluated exactly.
 
-Every verdict that matters is re-derived by the exact rational library;
-these kernels only pre-screen integer candidates, so they must be exact
-too.  All arithmetic stays in int64 under the caller's bound guard
-(``int64_screen_safe``), which makes the jitted and plain backends agree
-bit for bit.
+The pendant-deletion hypothesis is a list of minors that must be strictly
+positive: every initial minor of every maximal path of the tree (the
+Gasca-Pena criterion for TP), and with ``augmented`` every principal minor
+of every pendant-deleted block.  ``minor_plan`` lists them once, and
+``hypothesis_violations`` counts the non-positive ones in Python integers,
+which never overflow, so one code path serves every entry range.
 
-Backends: the numba-jitted build is used when numba imports and the
-environment variable ``TREETP_NO_NUMBA`` is unset; otherwise the same
-source runs as plain Python over numpy arrays, with a vectorized batch
-screen for trees whose maximal paths all have three vertices (stars).
+Greedy repair drives that count to zero (``repair_chunk``).  Rejection
+sampling takes the first candidate of a batch with no violation
+(``screen_batch_vectorized``), after an int64 numpy prefilter of the minors
+of size <= 3 whenever they provably fit.  Every candidate either mode
+accepts is re-checked by ``positivity`` before it is reported.
 """
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from types import SimpleNamespace
 
 import numpy as np
 
+from .exact_linalg import _det_int
+from .positivity import _initial_minor_lists
+from .tree_model import LabelledTree, maximal_paths, pendant_vertices
+
 INT64_GUARD = 2**63
+
+# ordered, 0-based (rows, cols) index tuples
+Minor = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def int64_screen_safe(max_minor_size: int, hi: int) -> bool:
-    """True when every screened minor provably fits in int64.
+    """True when every minor of at most this size provably fits in int64.
 
     Minors of a k-by-k block with entries in [0, hi] are bounded by the
-    permanent, hence by k! * hi^k, and so is every partial sum in the
-    cofactor expansion used here.
+    permanent, hence by k! * hi^k, and so is every partial sum of the
+    cofactor expansion used by the prefilter.
     """
     k = max(1, int(max_minor_size))
     return math.factorial(k) * (int(hi) ** k) < INT64_GUARD
 
 
-def _max_span(offsets) -> int:
-    best = 1
-    for p in range(offsets.shape[0] - 1):
-        best = max(best, int(offsets[p + 1] - offsets[p]))
-    return best
+def minor_plan(tree: LabelledTree, augmented: bool) -> tuple[Minor, ...]:
+    """Every minor the hypothesis needs positive, in path then block order.
 
-
-def _build(jit):
-    @jit
-    def _det(a, k, dp):
-        # determinant of a[:k, :k]; dp is scratch of length >= 2^k
-        if k == 1:
-            return a[0, 0]
-        if k == 2:
-            return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if k == 3:
-            return (
-                a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-                - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-                + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-            )
-        full = 1 << k
-        dp[0] = 1
-        for s in range(1, full):
-            r = 0
-            for j in range(k):
-                if s & (1 << j):
-                    r += 1
-            acc = np.int64(0)
-            pos = 0
-            for j in range(k):
-                if s & (1 << j):
-                    term = a[r - 1, j] * dp[s ^ (1 << j)]
-                    if (r - 1 + pos) & 1:
-                        acc -= term
-                    else:
-                        acc += term
-                    pos += 1
-            dp[s] = acc
-        return dp[full - 1]
-
-    @jit
-    def _tp3_ok(a, v0, v1, v2):
-        # registerized initial-minor test for a 3-vertex path block
-        b00 = a[v0, v0]
-        b01 = a[v0, v1]
-        b02 = a[v0, v2]
-        b10 = a[v1, v0]
-        b11 = a[v1, v1]
-        b12 = a[v1, v2]
-        b20 = a[v2, v0]
-        b21 = a[v2, v1]
-        b22 = a[v2, v2]
-        if b00 <= 0 or b01 <= 0 or b02 <= 0 or b10 <= 0 or b20 <= 0:
-            return False
-        if b00 * b11 - b01 * b10 <= 0:
-            return False
-        if b01 * b12 - b02 * b11 <= 0:
-            return False
-        if b10 * b21 - b11 * b20 <= 0:
-            return False
-        return (
-            b00 * (b11 * b22 - b12 * b21)
-            - b01 * (b10 * b22 - b12 * b20)
-            + b02 * (b10 * b21 - b11 * b20)
-        ) > 0
-
-    @jit
-    def _tp_initial(b, length, sub, dp, early_exit):
-        # non-positive initial minors: contiguous blocks anchored at the
-        # first row or first column; zero violations is equivalent to TP
-        bad = 0
-        for size in range(1, length + 1):
-            for j0 in range(length - size + 1):
-                for r in range(size):
-                    for c in range(size):
-                        sub[r, c] = b[r, j0 + c]
-                if _det(sub, size, dp) <= 0:
-                    bad += 1
-                    if early_exit:
-                        return bad
-            for i0 in range(1, length - size + 1):
-                for r in range(size):
-                    for c in range(size):
-                        sub[r, c] = b[i0 + r, c]
-                if _det(sub, size, dp) <= 0:
-                    bad += 1
-                    if early_exit:
-                        return bad
-        return bad
-
-    @jit
-    def _ttp(a, paths_flat, path_offsets, b, sub, dp, early_exit):
-        bad = 0
-        for p in range(path_offsets.shape[0] - 1):
-            start = path_offsets[p]
-            length = path_offsets[p + 1] - start
-            if early_exit and length == 3:
-                if not _tp3_ok(a, paths_flat[start], paths_flat[start + 1], paths_flat[start + 2]):
-                    return 1
-                continue
-            for r in range(length):
-                for c in range(length):
-                    b[r, c] = a[paths_flat[start + r], paths_flat[start + c]]
-            bad += _tp_initial(b, length, sub, dp, early_exit)
-            if early_exit and bad > 0:
-                return bad
-        return bad
-
-    @jit
-    def _principal(a, idx, m, sub, dp, early_exit):
-        bad = 0
-        for mask in range(1, 1 << m):
-            r = 0
-            for t in range(m):
-                if mask & (1 << t):
-                    c = 0
-                    for u in range(m):
-                        if mask & (1 << u):
-                            sub[r, c] = a[idx[t], idx[u]]
-                            c += 1
-                    r += 1
-            if _det(sub, r, dp) <= 0:
-                bad += 1
-                if early_exit:
-                    return bad
-        return bad
-
-    @jit
-    def _hypothesis(a, paths_flat, path_offsets, pend_flat, pend_offsets, augmented, b, sub, dp, early_exit):
-        bad = _ttp(a, paths_flat, path_offsets, b, sub, dp, early_exit)
-        if early_exit and bad > 0:
-            return bad
-        if augmented:
-            for p in range(pend_offsets.shape[0] - 1):
-                start = pend_offsets[p]
-                m = pend_offsets[p + 1] - start
-                bad += _principal(a, pend_flat[start:], m, sub, dp, early_exit)
-                if early_exit and bad > 0:
-                    return bad
-        return bad
-
-    @jit
-    def _scratch(paths_offsets_max, pend_offsets_max):
-        size = max(paths_offsets_max, pend_offsets_max)
-        b = np.empty((size, size), dtype=np.int64)
-        sub = np.empty((size, size), dtype=np.int64)
-        dp = np.empty(1 << size, dtype=np.int64)
-        return b, sub, dp
-
-    @jit
-    def hypothesis_violations(a, paths_flat, path_offsets, pend_flat, pend_offsets, augmented, early_exit):
-        lmax = 1
-        for p in range(path_offsets.shape[0] - 1):
-            lmax = max(lmax, int(path_offsets[p + 1] - path_offsets[p]))
-        mmax = 1
-        for p in range(pend_offsets.shape[0] - 1):
-            mmax = max(mmax, int(pend_offsets[p + 1] - pend_offsets[p]))
-        b, sub, dp = _scratch(lmax, mmax)
-        return _hypothesis(
-            a, paths_flat, path_offsets, pend_flat, pend_offsets, augmented, b, sub, dp, early_exit
-        )
-
-    @jit
-    def screen_batch(batch, paths_flat, path_offsets, pend_flat, pend_offsets, augmented):
-        # index of the first candidate satisfying the full hypothesis, or -1
-        lmax = 1
-        for p in range(path_offsets.shape[0] - 1):
-            lmax = max(lmax, int(path_offsets[p + 1] - path_offsets[p]))
-        mmax = 1
-        for p in range(pend_offsets.shape[0] - 1):
-            mmax = max(mmax, int(pend_offsets[p + 1] - pend_offsets[p]))
-        b, sub, dp = _scratch(lmax, mmax)
-        for t in range(batch.shape[0]):
-            if _hypothesis(
-                batch[t], paths_flat, path_offsets, pend_flat, pend_offsets, augmented,
-                b, sub, dp, True,
-            ) == 0:
-                return t
-        return -1
-
-    @jit
-    def repair_chunk(a, pos_i, pos_j, vals, paths_flat, path_offsets, pend_flat, pend_offsets, augmented, symmetric, current):
-        # greedy single-entry mutations; keep a proposal unless it adds violations
-        lmax = 1
-        for p in range(path_offsets.shape[0] - 1):
-            lmax = max(lmax, int(path_offsets[p + 1] - path_offsets[p]))
-        mmax = 1
-        for p in range(pend_offsets.shape[0] - 1):
-            mmax = max(mmax, int(pend_offsets[p + 1] - pend_offsets[p]))
-        b, sub, dp = _scratch(lmax, mmax)
-        for t in range(vals.shape[0]):
-            if current == 0:
-                return current, t
-            i = pos_i[t]
-            j = pos_j[t]
-            old_ij = a[i, j]
-            old_ji = a[j, i]
-            a[i, j] = vals[t]
-            if symmetric:
-                a[j, i] = vals[t]
-            new = _hypothesis(
-                a, paths_flat, path_offsets, pend_flat, pend_offsets, augmented,
-                b, sub, dp, False,
-            )
-            if new <= current:
-                current = new
-            else:
-                a[i, j] = old_ij
-                a[j, i] = old_ji
-        return current, vals.shape[0]
-
-    def det_small(a):
-        k = a.shape[0]
-        dp = np.empty(1 << k, dtype=np.int64)
-        return _det(a, k, dp)
-
-    def tp_initial_violations(b, early_exit):
-        length = b.shape[0]
-        sub = np.empty((length, length), dtype=np.int64)
-        dp = np.empty(1 << length, dtype=np.int64)
-        return _tp_initial(b, length, sub, dp, early_exit)
-
-    def ttp_violations(a, paths_flat, path_offsets, early_exit):
-        lmax = _max_span(path_offsets)
-        b = np.empty((lmax, lmax), dtype=np.int64)
-        sub = np.empty((lmax, lmax), dtype=np.int64)
-        dp = np.empty(1 << lmax, dtype=np.int64)
-        return _ttp(a, paths_flat, path_offsets, b, sub, dp, early_exit)
-
-    def principal_violations(a, idx, early_exit):
-        m = idx.shape[0]
-        sub = np.empty((m, m), dtype=np.int64)
-        dp = np.empty(1 << m, dtype=np.int64)
-        return _principal(a, idx, m, sub, dp, early_exit)
-
-    return SimpleNamespace(
-        det_small=det_small,
-        tp_initial_violations=tp_initial_violations,
-        ttp_violations=ttp_violations,
-        principal_violations=principal_violations,
-        hypothesis_violations=hypothesis_violations,
-        screen_batch=screen_batch,
-        repair_chunk=repair_chunk,
-    )
-
-
-py_backend = _build(lambda f: f)
-
-NUMBA_DISABLED = bool(os.environ.get("TREETP_NO_NUMBA"))
-jit_backend = None
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        jit_backend = _build(njit(cache=True))
-    except ImportError:
-        jit_backend = None
-
-active = jit_backend if jit_backend is not None else py_backend
-BACKEND = "numba" if jit_backend is not None else "numpy"
-
-
-def _det2(blk):
-    return blk[:, 0, 0] * blk[:, 1, 1] - blk[:, 0, 1] * blk[:, 1, 0]
-
-
-def _det3(blk):
-    return (
-        blk[:, 0, 0] * (blk[:, 1, 1] * blk[:, 2, 2] - blk[:, 1, 2] * blk[:, 2, 1])
-        - blk[:, 0, 1] * (blk[:, 1, 0] * blk[:, 2, 2] - blk[:, 1, 2] * blk[:, 2, 0])
-        + blk[:, 0, 2] * (blk[:, 1, 0] * blk[:, 2, 1] - blk[:, 1, 1] * blk[:, 2, 0])
-    )
-
-
-def _tp3_mask(blk):
-    """Vectorized initial-minor TP test for a (B,3,3) int64 stack."""
-    ok = (blk[:, 0, 0] > 0) & (blk[:, 0, 1] > 0) & (blk[:, 0, 2] > 0)
-    ok &= (blk[:, 1, 0] > 0) & (blk[:, 2, 0] > 0)
-    ok &= _det2(blk[:, 0:2, 0:2]) > 0
-    ok &= _det2(blk[:, 0:2, 1:3]) > 0
-    ok &= _det2(blk[:, 1:3, 0:2]) > 0
-    ok &= _det3(blk) > 0
-    return ok
-
-
-def screen_batch_vectorized(batch, paths, pend_blocks, augmented):
-    """Pure-numpy batch screen; exact match of the per-matrix predicate.
-
-    Paths of three vertices are screened with vectorized minor formulas;
-    anything longer falls back to the per-matrix plain functions, as do
-    the pendant P-matrix checks on the few TP survivors.
+    A minor shared by two paths or blocks is listed for each of them, so
+    the violation count weighs it once per path or block.
     """
-    mask = np.ones(batch.shape[0], dtype=bool)
-    slow_paths = []
-    for path in paths:
-        if len(path) == 3:
-            idx = np.asarray(path, dtype=np.int64)
-            blk = batch[:, idx[:, None], idx[None, :]]
-            mask &= _tp3_mask(blk)
+    plan = []
+    for path in maximal_paths(tree):
+        idx = [v - 1 for v in path.vertices]
+        for rows, cols in _initial_minor_lists(len(idx)):
+            plan.append((tuple(idx[r - 1] for r in rows), tuple(idx[c - 1] for c in cols)))
+    if augmented:
+        for p in pendant_vertices(tree):
+            keep = [v - 1 for v in range(1, tree.n + 1) if v != p]
+            for size in range(1, len(keep) + 1):
+                plan.extend((sel, sel) for sel in itertools.combinations(keep, size))
+    return tuple(plan)
+
+
+def minor_value(a, rows, cols):
+    """Exact det a[rows; cols], reading entries as a[r][c].
+
+    `a` is a matrix as nested lists of ints.  For minors of size <= 3 it
+    may also be an (n, n, B) int64 array, which gives the minors of a
+    whole batch at once.
+    """
+    k = len(rows)
+    if k == 1:
+        return a[rows[0]][cols[0]]
+    if k == 2:
+        r0, r1 = a[rows[0]], a[rows[1]]
+        c0, c1 = cols
+        return r0[c0] * r1[c1] - r0[c1] * r1[c0]
+    if k == 3:
+        r0, r1, r2 = a[rows[0]], a[rows[1]], a[rows[2]]
+        c0, c1, c2 = cols
+        return (
+            r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
+            - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
+            + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0])
+        )
+    return _det_int([[a[r][c] for c in cols] for r in rows])
+
+
+def hypothesis_violations(a: list[list[int]], plan: tuple[Minor, ...]) -> int:
+    """Number of plan minors of `a` that are not strictly positive."""
+    return sum(minor_value(a, rows, cols) <= 0 for rows, cols in plan)
+
+
+def repair_chunk(a, pos_i, pos_j, vals, plan, symmetric: bool, current: int) -> tuple[int, int]:
+    """Greedy single-entry mutations of `a`, in place.
+
+    Proposal t sets a[pos_i[t]][pos_j[t]] (and its mirror when
+    `symmetric`) to vals[t], and is kept unless it raises the violation
+    count.  Stops once the count reaches zero; returns (count, proposals
+    used).
+    """
+    for t, (i, j, v) in enumerate(zip(pos_i.tolist(), pos_j.tolist(), vals.tolist())):
+        if current == 0:
+            return current, t
+        old_ij, old_ji = a[i][j], a[j][i]
+        a[i][j] = v
+        if symmetric:
+            a[j][i] = v
+        new = hypothesis_violations(a, plan)
+        if new <= current:
+            current = new
         else:
-            slow_paths.append(np.asarray(path, dtype=np.int64))
-    for t in np.flatnonzero(mask):
-        a = batch[t]
-        for path in slow_paths:
-            flat = path
-            offs = np.array([0, len(path)], dtype=np.int64)
-            if py_backend.ttp_violations(a, flat, offs, True) > 0:
-                mask[t] = False
-                break
-        if mask[t] and augmented:
-            for idx in pend_blocks:
-                if py_backend.principal_violations(a, np.asarray(idx, dtype=np.int64), True) > 0:
-                    mask[t] = False
-                    break
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else -1
+            a[i][j] = old_ij
+            a[j][i] = old_ji
+    return current, len(vals)
+
+
+def screen_batch_vectorized(batch: np.ndarray, plan: tuple[Minor, ...], hi: int) -> int:
+    """Index of the first matrix in the (B, n, n) batch with no violation, or -1.
+
+    With entries in [0, hi] and the int64 guard met for 3x3 minors, the
+    distinct plan minors of size <= 3 are evaluated over the whole batch
+    in int64; only the survivors are checked against the remaining minors
+    in Python integers.
+    """
+    minors = list(dict.fromkeys(plan))
+    survivors = range(batch.shape[0])
+    if int64_screen_safe(3, hi):
+        stack = batch.transpose(1, 2, 0)  # stack[r][c] is the view batch[:, r, c]
+        mask = np.ones(batch.shape[0], dtype=bool)
+        for rows, cols in minors:
+            if len(rows) <= 3:
+                mask &= minor_value(stack, rows, cols) > 0
+        minors = [m for m in minors if len(m[0]) > 3]
+        survivors = np.flatnonzero(mask).tolist()
+    for t in survivors:
+        a = batch[t].tolist()
+        if all(minor_value(a, rows, cols) > 0 for rows, cols in minors):
+            return t
+    return -1

@@ -1,14 +1,13 @@
 """Randomized generation and batch testing of the tree-positivity conjecture.
 
-Candidates are integer matrices screened in int64 by the kernels in
-``_kernels`` (rejection sampling, plus an optional greedy repair phase),
-then re-verified by the exact library before they are ever reported.
+Candidates are integer matrices that meet every minor of the tree's plan
+in ``_kernels``, found by rejection sampling or by greedy repair, then
+re-verified by ``positivity`` before they are ever reported.
 Every random decision flows from a per-slot seed stream, so a batch is
 reproducible and the parallel and serial runs produce identical reports.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .exact_linalg import ExactMatrix, matrix_from_text, matrix_to_text, minor
+from .exact_linalg import ExactMatrix, matrix_from_text, matrix_to_text
 from .positivity import (
     AdjointCheck,
     HypothesisReport,
@@ -26,12 +25,7 @@ from .positivity import (
     pendant_deletion_hypothesis,
 )
 from .spectral import SmallestEigen, SpectralSummary, smallest_eig_vector
-from .tree_model import (
-    LabelledTree,
-    enumerate_labelled_trees,
-    maximal_paths,
-    pendant_vertices,
-)
+from .tree_model import LabelledTree, enumerate_labelled_trees
 
 _SEED_MASK = 2**64 - 1
 _BATCH = 4096
@@ -67,55 +61,6 @@ class GenConfig:
             raise ValueError("max_attempts must be at least 1")
 
 
-class _Plan:
-    """Per-tree screening data shared by every candidate."""
-
-    def __init__(self, cfg: GenConfig) -> None:
-        tree = cfg.tree
-        paths = [tuple(v - 1 for v in p.vertices) for p in maximal_paths(tree)]
-        self.paths = paths
-        self.paths_flat = np.array([v for p in paths for v in p], dtype=np.int64)
-        self.path_offsets = np.cumsum([0] + [len(p) for p in paths], dtype=np.int64)
-        if cfg.augmented:
-            blocks = [
-                tuple(v - 1 for v in range(1, tree.n + 1) if v != p)
-                for p in pendant_vertices(tree)
-            ]
-        else:
-            blocks = []
-        self.pend_blocks = blocks
-        self.pend_flat = np.array([v for b in blocks for v in b], dtype=np.int64)
-        self.pend_offsets = np.cumsum([0] + [len(b) for b in blocks], dtype=np.int64)
-        max_minor = max(len(p) for p in paths)
-        if blocks:
-            max_minor = max(max_minor, max(len(b) for b in blocks))
-        self.int64_ok = _kernels.int64_screen_safe(max_minor, cfg.entry_range[1])
-
-
-def _exact_violations(entries: np.ndarray, plan: _Plan, augmented: bool) -> int:
-    """Arbitrary-precision fallback for the screening objective."""
-    A = ExactMatrix([[int(x) for x in row] for row in entries])
-    bad = 0
-    for path in plan.paths:
-        idx = tuple(v + 1 for v in path)
-        length = len(idx)
-        for size in range(1, length + 1):
-            for j0 in range(length - size + 1):
-                if minor(A, idx[:size], idx[j0 : j0 + size]) <= 0:
-                    bad += 1
-            for i0 in range(1, length - size + 1):
-                if minor(A, idx[i0 : i0 + size], idx[:size]) <= 0:
-                    bad += 1
-    if augmented:
-        for block in plan.pend_blocks:
-            keep = tuple(v + 1 for v in block)
-            for size in range(1, len(keep) + 1):
-                for sel in itertools.combinations(keep, size):
-                    if minor(A, sel, sel) <= 0:
-                        bad += 1
-    return bad
-
-
 def _hypothesis_reports(A: ExactMatrix, tree: LabelledTree, augmented: bool) -> HypothesisReport:
     if augmented:
         return pendant_deletion_hypothesis(A, tree)
@@ -132,19 +77,9 @@ def _symmetrize(batch: np.ndarray) -> np.ndarray:
     return upper + np.swapaxes(np.triu(batch, 1), -1, -2)
 
 
-def _screen(batch: np.ndarray, plan: _Plan, augmented: bool) -> int:
-    if _kernels.BACKEND == "numba":
-        return int(
-            _kernels.active.screen_batch(
-                batch, plan.paths_flat, plan.path_offsets, plan.pend_flat, plan.pend_offsets, augmented
-            )
-        )
-    return _kernels.screen_batch_vectorized(batch, plan.paths, plan.pend_blocks, augmented)
-
-
 def _generate_slot(cfg: GenConfig, slot: int, lane: int = 0) -> tuple[ExactMatrix | None, int]:
     """One deterministic candidate stream; returns (matrix, attempts used)."""
-    plan = _Plan(cfg)
+    plan = _kernels.minor_plan(cfg.tree, cfg.augmented)
     rng = _rng_for(cfg, slot, lane)
     n = cfg.tree.n
     lo, hi = cfg.entry_range
@@ -158,22 +93,12 @@ def _generate_slot(cfg: GenConfig, slot: int, lane: int = 0) -> tuple[ExactMatri
             batch = _symmetrize(batch)
         start = 0
         while start < size:
-            if plan.int64_ok:
-                idx = _screen(batch[start:], plan, cfg.augmented)
-            else:
-                idx = next(
-                    (
-                        k
-                        for k in range(size - start)
-                        if _exact_violations(batch[start + k], plan, cfg.augmented) == 0
-                    ),
-                    -1,
-                )
+            idx = _kernels.screen_batch_vectorized(batch[start:], plan, hi)
             if idx < 0:
                 attempts += size - start
                 break
             attempts += idx + 1
-            candidate = ExactMatrix([[int(x) for x in row] for row in batch[start + idx]])
+            candidate = ExactMatrix(batch[start + idx].tolist())
             if _hypothesis_reports(candidate, cfg.tree, cfg.augmented).holds:
                 return candidate, attempts
             start += idx + 1
@@ -181,55 +106,24 @@ def _generate_slot(cfg: GenConfig, slot: int, lane: int = 0) -> tuple[ExactMatri
 
 
 def _generate_repair(cfg, plan, rng, n, lo, hi) -> tuple[ExactMatrix | None, int]:
-    kern = _kernels.active if plan.int64_ok else None
     for attempt in range(cfg.max_attempts):
         a = rng.integers(lo, hi + 1, size=(n, n), dtype=np.int64)
         if cfg.symmetric:
             a = _symmetrize(a[None])[0]
-        a = np.ascontiguousarray(a)
-        if kern is not None:
-            current = int(
-                kern.hypothesis_violations(
-                    a, plan.paths_flat, plan.path_offsets, plan.pend_flat, plan.pend_offsets,
-                    cfg.augmented, False,
-                )
-            )
-        else:
-            current = _exact_violations(a, plan, cfg.augmented)
+        a = a.tolist()
+        current = _kernels.hypothesis_violations(a, plan)
         rounds_left = cfg.repair_rounds
         while rounds_left > 0 and current > 0:
             size = min(_REPAIR_CHUNK, rounds_left)
             pos_i = rng.integers(0, n, size=size, dtype=np.int64)
             pos_j = rng.integers(0, n, size=size, dtype=np.int64)
             vals = rng.integers(lo, hi + 1, size=size, dtype=np.int64)
-            if kern is not None:
-                current, used = kern.repair_chunk(
-                    a, pos_i, pos_j, vals, plan.paths_flat, plan.path_offsets,
-                    plan.pend_flat, plan.pend_offsets, cfg.augmented, cfg.symmetric, current,
-                )
-                current, used = int(current), int(used)
-            else:
-                used = 0
-                for t in range(size):
-                    if current == 0:
-                        break
-                    i, j, v = int(pos_i[t]), int(pos_j[t]), int(vals[t])
-                    old_ij, old_ji = int(a[i, j]), int(a[j, i])
-                    a[i, j] = v
-                    if cfg.symmetric:
-                        a[j, i] = v
-                    new = _exact_violations(a, plan, cfg.augmented)
-                    if new <= current:
-                        current = new
-                    else:
-                        a[i, j] = old_ij
-                        a[j, i] = old_ji
-                    used = t + 1
-                else:
-                    used = size
+            current, used = _kernels.repair_chunk(
+                a, pos_i, pos_j, vals, plan, cfg.symmetric, current
+            )
             rounds_left -= used
         if current == 0:
-            candidate = ExactMatrix([[int(x) for x in row] for row in a])
+            candidate = ExactMatrix(a)
             if _hypothesis_reports(candidate, cfg.tree, cfg.augmented).holds:
                 return candidate, attempt + 1
     return None, cfg.max_attempts

@@ -433,7 +433,8 @@ def full_spectrum_numeric(A: ExactMatrix, tol: float = 1e-9) -> SpectrumEstimate
     """
     p = char_poly(A)
     est = _roots_durand_kerner(p, tol)
-    n_real = sum(r.multiplicity for r in real_roots(p))
+    # the key smallest_eigenvalue uses, so one isolation serves both
+    n_real = sum(r.multiplicity for r in real_roots(p, refine_to=ISOLATION_WIDTH))
     paired = _pair_conjugates(est.values, n_real)
     paired.sort(key=lambda z: (z.real, z.imag))
     return SpectrumEstimate(tuple(paired), est.converged, est.max_scaled_residual)

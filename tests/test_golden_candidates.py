@@ -1,0 +1,61 @@
+"""Golden candidates: exact seeded generator output, in every environment.
+
+Each case pins the matrix and the attempt count that `_generate_slot`
+returns for one (tree, seed, slot, mode).  Any change to sampling order,
+the screening objective or the repair accept/reject rule shows up here.
+The two cases with entries up to 2**21 exceed the int64 guard for 3x3
+minors, so they pin the exact arithmetic beyond it.
+"""
+import pytest
+
+from treetp import GenConfig, make_pitchfork, make_star, matrix_to_text, parse_tree_spec
+from treetp.conjecture_lab import _generate_slot
+
+GOLDEN = {
+    "star4-reject-s11": (
+        dict(tree=make_star(4, 1), seed=11),
+        "128 81 133 73\n97 97 98 48\n37 12 107 16\n95 52 21 137\n",
+        80995,
+    ),
+    "star5-aug-repair-s13": (
+        dict(tree=make_star(5, 1), seed=13, augmented=True, repair=True, max_attempts=20),
+        "136 130 69 112 44\n41 132 17 26 11\n89 30 136 9 26\n102 46 31 133 31\n"
+        "131 95 42 11 53\n",
+        1,
+    ),
+    "star4-sym-reject-s7": (
+        dict(tree=make_star(4, 1), seed=7, symmetric=True),
+        "55 67 66 66\n67 144 61 39\n66 61 101 59\n66 39 59 117\n",
+        641,
+    ),
+    "pitchfork-sym-repair-s31": (
+        dict(tree=make_pitchfork(), seed=31, symmetric=True, repair=True, max_attempts=25),
+        "130 91 90 89 27\n91 140 23 21 2\n90 23 108 46 6\n89 21 46 139 107\n"
+        "27 2 6 107 126\n",
+        2,
+    ),
+    "star5-repair-s808": (
+        dict(tree=make_star(5, 1), seed=808, repair=True, max_attempts=50),
+        "48 46 85 70 56\n51 132 38 8 53\n14 12 147 17 9\n70 67 36 134 62\n58 28 52 21 131\n",
+        1,
+    ),
+    "star4-repair-big": (
+        dict(tree=make_star(4, 1), seed=3, entry_range=(1, 2**21), repair=True, max_attempts=50),
+        "1344251 1156174 1183592 424157\n1083995 1658680 884231 303250\n"
+        "1123169 707085 1751896 213489\n1372656 793856 457566 687620\n",
+        1,
+    ),
+    "star3c2-reject-big": (
+        dict(tree=parse_tree_spec("star:3:2"), seed=5, entry_range=(1, 2**21)),
+        "571836 1961888 299750\n169822 658204 1011036\n178222 722614 1742487\n",
+        40,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_slot_zero_is_pinned(name):
+    kwargs, text, attempts = GOLDEN[name]
+    matrix, used = _generate_slot(GenConfig(**kwargs), 0)
+    assert matrix is not None
+    assert (matrix_to_text(matrix), used) == (text, attempts)

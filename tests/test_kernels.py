@@ -1,25 +1,53 @@
+import itertools
+import math
+
 import numpy as np
-import pytest
 
-from treetp import ExactMatrix, det, is_p_matrix, is_t_tp, is_tp, make_pitchfork, make_star
+from treetp import (
+    ExactMatrix,
+    det,
+    is_p_matrix,
+    is_t_tp,
+    is_tp,
+    make_path,
+    make_pitchfork,
+    make_star,
+    maximal_paths,
+    minor,
+    pendant_deletion_hypothesis,
+    pendant_vertices,
+)
 from treetp import _kernels as kernels
-from treetp.conjecture_lab import GenConfig, _Plan, _exact_violations
-from treetp.fixtures import STAR4_EXAMPLE
+from treetp.fixtures import PITCHFORK_COUNTEREXAMPLE, STAR4_EXAMPLE
 
 
-def backends():
-    out = [("numpy", kernels.py_backend)]
-    if kernels.jit_backend is not None:
-        out.append(("numba", kernels.jit_backend))
-    return out
+def exact(a) -> ExactMatrix:
+    return ExactMatrix([[int(x) for x in row] for row in a])
 
 
-def star4_plan(augmented=False, hi=150):
-    return _Plan(GenConfig(tree=make_star(4, 1), entry_range=(1, hi), augmented=augmented))
+def reference_violations(A: ExactMatrix, tree, augmented: bool) -> int:
+    """Non-positive hypothesis minors, counted with the exact library.
 
-
-def star5_plan(augmented=True, hi=150):
-    return _Plan(GenConfig(tree=make_star(5, 1), entry_range=(1, hi), augmented=augmented))
+    Every initial minor of every maximal path, then with `augmented` every
+    principal minor of every pendant-deleted block, each counted per path
+    or block it belongs to.
+    """
+    bad = 0
+    for path in maximal_paths(tree):
+        idx = path.vertices
+        length = len(idx)
+        for size in range(1, length + 1):
+            for j0 in range(length - size + 1):
+                bad += minor(A, idx[:size], idx[j0 : j0 + size]) <= 0
+            for i0 in range(1, length - size + 1):
+                bad += minor(A, idx[i0 : i0 + size], idx[:size]) <= 0
+    if augmented:
+        for p in pendant_vertices(tree):
+            keep = [v for v in range(1, tree.n + 1) if v != p]
+            for size in range(1, len(keep) + 1):
+                for sel in itertools.combinations(keep, size):
+                    bad += minor(A, sel, sel) <= 0
+    return bad
 
 
 class TestGuard:
@@ -33,248 +61,116 @@ class TestGuard:
         assert not kernels.int64_screen_safe(12, 50)
 
     def test_guard_follows_factorial_bound(self):
-        import math
-
         k, hi = 6, 200
         expected = math.factorial(k) * hi**k < 2**63
         assert kernels.int64_screen_safe(k, hi) == expected
 
 
-class TestDetSmall:
-    @pytest.mark.parametrize("name,backend", backends())
-    def test_matches_exact_det(self, name, backend, rng):
+class TestMinorValue:
+    def test_matches_exact_det(self, rng):
         for k in range(1, 8):
-            a = np.array(
-                [[rng.randint(1, 25) for _ in range(k)] for _ in range(k)], dtype=np.int64
-            )
-            exact = det(ExactMatrix([[int(x) for x in row] for row in a]))
-            assert int(backend.det_small(a)) == exact
+            a = [[rng.randint(1, 25) for _ in range(k)] for _ in range(k)]
+            assert kernels.minor_value(a, range(k), range(k)) == det(exact(a))
 
-    def test_backends_agree(self, rng):
-        if kernels.jit_backend is None:
-            pytest.skip("numba unavailable")
-        for _ in range(20):
-            k = rng.choice((2, 3, 4, 5, 6))
-            a = np.array(
-                [[rng.randint(1, 30) for _ in range(k)] for _ in range(k)], dtype=np.int64
-            )
-            assert int(kernels.py_backend.det_small(a)) == int(kernels.jit_backend.det_small(a))
+    def test_row_and_column_order_respected(self, rng):
+        a = [[rng.randint(-50, 50) for _ in range(6)] for _ in range(6)]
+        for rows, cols in [((2, 0), (1, 3)), ((4, 1, 3), (0, 5, 2)), ((5, 0, 2, 1), (3, 4, 0, 1))]:
+            expected = minor(exact(a), [r + 1 for r in rows], [c + 1 for c in cols])
+            assert kernels.minor_value(a, rows, cols) == expected
 
 
 class TestViolationCounts:
-    @pytest.mark.parametrize("name,backend", backends())
-    def test_tp_initial_matches_is_tp(self, name, backend, rng):
+    def test_tp_initial_matches_is_tp(self, rng):
         for _ in range(30):
             k = rng.choice((2, 3, 4))
-            a = np.array(
-                [[rng.randint(1, 30) for _ in range(k)] for _ in range(k)], dtype=np.int64
-            )
-            M = ExactMatrix([[int(x) for x in row] for row in a])
-            bad = int(backend.tp_initial_violations(a, False))
-            assert (bad == 0) == is_tp(M, "initial-minors").is_tp
+            plan = kernels.minor_plan(make_path(range(1, k + 1)), False)
+            a = [[rng.randint(1, 30) for _ in range(k)] for _ in range(k)]
+            bad = kernels.hypothesis_violations(a, plan)
+            assert (bad == 0) == is_tp(exact(a), "initial-minors").is_tp
 
-    @pytest.mark.parametrize("name,backend", backends())
-    def test_principal_matches_is_p_matrix(self, name, backend, rng):
-        idx = np.arange(4, dtype=np.int64)
+    def test_principal_matches_is_p_matrix(self, rng):
+        plan = tuple(
+            (sel, sel) for size in range(1, 5) for sel in itertools.combinations(range(4), size)
+        )
         for _ in range(20):
-            a = np.array(
-                [[rng.randint(-10, 30) for _ in range(4)] for _ in range(4)], dtype=np.int64
-            )
-            M = ExactMatrix([[int(x) for x in row] for row in a])
-            bad = int(backend.principal_violations(a, idx, False))
-            assert (bad == 0) == is_p_matrix(M).is_p_matrix
+            a = [[rng.randint(-10, 30) for _ in range(4)] for _ in range(4)]
+            bad = kernels.hypothesis_violations(a, plan)
+            assert (bad == 0) == is_p_matrix(exact(a)).is_p_matrix
 
     def test_hypothesis_counts_match_exact_reference(self, rng):
-        plan = star5_plan(augmented=True, hi=30)
-        for _ in range(10):
-            a = np.array(
-                [[rng.randint(1, 30) for _ in range(5)] for _ in range(5)], dtype=np.int64
-            )
-            counts = {
-                name: int(
-                    backend.hypothesis_violations(
-                        a, plan.paths_flat, plan.path_offsets, plan.pend_flat,
-                        plan.pend_offsets, True, False,
-                    )
+        for tree, augmented in [
+            (make_star(5, 1), True),
+            (make_pitchfork(), False),
+            (make_star(6, 1), True),
+        ]:
+            plan = kernels.minor_plan(tree, augmented)
+            for _ in range(6):
+                a = [[rng.randint(1, 30) for _ in range(tree.n)] for _ in range(tree.n)]
+                A = exact(a)
+                bad = kernels.hypothesis_violations(a, plan)
+                assert bad == reference_violations(A, tree, augmented)
+                assert (bad == 0) == (
+                    pendant_deletion_hypothesis(A, tree).holds if augmented else is_t_tp(A, tree).is_t_tp
                 )
-                for name, backend in backends()
-            }
-            counts["exact"] = _exact_violations(a, plan, True)
-            assert len(set(counts.values())) == 1
+
+
+def random_batch(rng, count, n, hi):
+    return np.array(
+        [[[rng.randint(1, hi) for _ in range(n)] for _ in range(n)] for _ in range(count)],
+        dtype=np.int64,
+    )
+
+
+def first_hit(batch, tree):
+    for t in range(batch.shape[0]):
+        if is_t_tp(exact(batch[t]), tree).is_t_tp:
+            return t
+    return -1
 
 
 class TestScreenBatch:
-    def test_planted_hit_found_by_all_backends(self, rng):
-        plan = star4_plan()
-        batch = np.array(
-            [
-                [[rng.randint(1, 150) for _ in range(4)] for _ in range(4)]
-                for _ in range(500)
-            ],
-            dtype=np.int64,
-        )
-        planted = np.array(
-            [[int(x) for x in row] for row in STAR4_EXAMPLE.matrix.rows], dtype=np.int64
-        )
-        batch[137] = planted
-        expected = None
-        for t in range(500):
-            M = ExactMatrix([[int(x) for x in row] for row in batch[t]])
-            if is_t_tp(M, make_star(4, 1)).is_t_tp:
-                expected = t
-                break
-        assert expected is not None and expected <= 137
-        results = {
-            name: int(
-                backend.screen_batch(
-                    batch, plan.paths_flat, plan.path_offsets, plan.pend_flat,
-                    plan.pend_offsets, False,
-                )
-            )
-            for name, backend in backends()
-        }
-        results["vectorized"] = kernels.screen_batch_vectorized(
-            batch, plan.paths, plan.pend_blocks, False
-        )
-        assert set(results.values()) == {expected}
+    def test_planted_hit_found(self, rng):
+        tree = make_star(4, 1)
+        plan = kernels.minor_plan(tree, False)
+        batch = random_batch(rng, 500, 4, 150)
+        batch[137] = [[int(x) for x in row] for row in STAR4_EXAMPLE.matrix.rows]
+        expected = first_hit(batch, tree)
+        assert 0 <= expected <= 137
+        # 150 keeps the int64 prefilter on; 2**21 turns it off
+        assert kernels.screen_batch_vectorized(batch, plan, 150) == expected
+        assert kernels.screen_batch_vectorized(batch, plan, 2**21) == expected
 
-    def test_no_hit_returns_minus_one(self, rng):
-        plan = star4_plan()
+    def test_no_hit_returns_minus_one(self):
+        plan = kernels.minor_plan(make_star(4, 1), False)
         batch = np.zeros((10, 4, 4), dtype=np.int64)
-        for name, backend in backends():
-            assert (
-                int(
-                    backend.screen_batch(
-                        batch, plan.paths_flat, plan.path_offsets, plan.pend_flat,
-                        plan.pend_offsets, False,
-                    )
-                )
-                == -1
-            )
-        assert kernels.screen_batch_vectorized(batch, plan.paths, plan.pend_blocks, False) == -1
+        assert kernels.screen_batch_vectorized(batch, plan, 150) == -1
+        assert kernels.screen_batch_vectorized(batch, plan, 2**21) == -1
 
     def test_vectorized_handles_long_paths(self, rng):
-        # pitchfork has a 4-vertex maximal path: exercises the slow branch
-        plan = _Plan(GenConfig(tree=make_pitchfork(), entry_range=(1, 20)))
-        batch = np.array(
-            [
-                [[rng.randint(1, 20) for _ in range(5)] for _ in range(5)]
-                for _ in range(300)
-            ],
-            dtype=np.int64,
+        # the pitchfork's 4-vertex maximal path has 4x4 initial minors,
+        # which the prefilter leaves to the Python-int check
+        tree = make_pitchfork()
+        plan = kernels.minor_plan(tree, False)
+        batch = random_batch(rng, 300, 5, 90)
+        batch[250] = [[int(x) for x in row] for row in PITCHFORK_COUNTEREXAMPLE.matrix.rows]
+        per_matrix = next(
+            t for t in range(300) if kernels.hypothesis_violations(batch[t].tolist(), plan) == 0
         )
-        per_matrix = int(
-            kernels.py_backend.screen_batch(
-                batch, plan.paths_flat, plan.path_offsets, plan.pend_flat,
-                plan.pend_offsets, False,
-            )
-        )
-        vec = kernels.screen_batch_vectorized(batch, plan.paths, plan.pend_blocks, False)
-        assert per_matrix == vec
+        assert per_matrix == first_hit(batch, tree)
+        assert kernels.screen_batch_vectorized(batch, plan, 90) == per_matrix
 
 
 class TestRepairChunk:
-    def test_backends_apply_identical_mutations(self, rng):
-        if kernels.jit_backend is None:
-            pytest.skip("numba unavailable")
-        plan = star4_plan()
-        start = np.array(
-            [[rng.randint(1, 150) for _ in range(4)] for _ in range(4)], dtype=np.int64
-        )
-        size = 600
-        pos_i = np.array([rng.randrange(4) for _ in range(size)], dtype=np.int64)
-        pos_j = np.array([rng.randrange(4) for _ in range(size)], dtype=np.int64)
-        vals = np.array([rng.randint(1, 150) for _ in range(size)], dtype=np.int64)
-        results = []
-        for name, backend in backends():
-            a = start.copy()
-            cur = int(
-                backend.hypothesis_violations(
-                    a, plan.paths_flat, plan.path_offsets, plan.pend_flat,
-                    plan.pend_offsets, False, False,
-                )
-            )
-            cur, used = backend.repair_chunk(
-                a, pos_i, pos_j, vals, plan.paths_flat, plan.path_offsets,
-                plan.pend_flat, plan.pend_offsets, False, False, cur,
-            )
-            results.append((int(cur), int(used), a.tolist()))
-        assert results[0] == results[1]
-
     def test_symmetric_mutations_preserve_symmetry(self, rng):
-        plan = _Plan(GenConfig(tree=make_pitchfork(), entry_range=(1, 60), symmetric=True))
+        plan = kernels.minor_plan(make_pitchfork(), False)
         a = np.array([[rng.randint(1, 60) for _ in range(5)] for _ in range(5)], dtype=np.int64)
-        a = np.triu(a) + np.triu(a, 1).T
+        a = (np.triu(a) + np.triu(a, 1).T).tolist()
         size = 200
         pos_i = np.array([rng.randrange(5) for _ in range(size)], dtype=np.int64)
         pos_j = np.array([rng.randrange(5) for _ in range(size)], dtype=np.int64)
         vals = np.array([rng.randint(1, 60) for _ in range(size)], dtype=np.int64)
-        backend = kernels.active
-        cur = int(
-            backend.hypothesis_violations(
-                a, plan.paths_flat, plan.path_offsets, plan.pend_flat,
-                plan.pend_offsets, False, False,
-            )
-        )
-        backend.repair_chunk(
-            a, pos_i, pos_j, vals, plan.paths_flat, plan.path_offsets,
-            plan.pend_flat, plan.pend_offsets, False, True, cur,
-        )
-        assert (a == a.T).all()
-
-
-class TestBackendSelection:
-    def test_active_matches_flag(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-        if kernels.BACKEND == "numba":
-            assert kernels.active is kernels.jit_backend
-        else:
-            assert kernels.active is kernels.py_backend
-
-
-_GEN_SNIPPET = """
-import json
-from treetp import GenConfig, gen_candidate, make_star, matrix_to_text
-from treetp import _kernels
-
-out = {"backend": _kernels.BACKEND}
-cfg = GenConfig(tree=make_star(4, 1), entry_range=(1, 150), seed=11)
-out["rejection"] = matrix_to_text(gen_candidate(cfg))
-cfg5 = GenConfig(
-    tree=make_star(5, 1), entry_range=(1, 150), seed=13, augmented=True,
-    repair=True, max_attempts=20,
-)
-out["repair"] = matrix_to_text(gen_candidate(cfg5))
-print(json.dumps(out))
-"""
-
-
-class TestCrossBackendDeterminism:
-    def test_fallback_generates_identical_candidates(self):
-        # full generation pipeline must agree bit-for-bit across backends
-        import json
-        import os
-        import subprocess
-        import sys
-
-        if kernels.jit_backend is None:
-            pytest.skip("numba unavailable")
-
-        def run(no_numba: bool) -> dict:
-            env = dict(os.environ)
-            if no_numba:
-                env["TREETP_NO_NUMBA"] = "1"
-            else:
-                env.pop("TREETP_NO_NUMBA", None)
-            proc = subprocess.run(
-                [sys.executable, "-c", _GEN_SNIPPET],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            return json.loads(proc.stdout.strip().splitlines()[-1])
-
-        with_jit = run(False)
-        without = run(True)
-        assert with_jit["backend"] == "numba"
-        assert without["backend"] == "numpy"
-        assert with_jit["rejection"] == without["rejection"]
-        assert with_jit["repair"] == without["repair"]
+        start = kernels.hypothesis_violations(a, plan)
+        current, used = kernels.repair_chunk(a, pos_i, pos_j, vals, plan, True, start)
+        assert a == [list(row) for row in zip(*a)]
+        assert current == kernels.hypothesis_violations(a, plan) <= start
+        assert 0 < used <= size

@@ -18,7 +18,8 @@ from treetp import (
     smallest_eigenvalue,
     tree_signing,
 )
-from treetp.spectral import poly_gcd, squarefree_decomposition
+from treetp import test_conjecture as run_conjecture
+from treetp.spectral import _real_roots_cached, poly_gcd, squarefree_decomposition
 from treetp.fixtures import (
     PITCHFORK_COUNTEREXAMPLE,
     STAR4_EXAMPLE,
@@ -208,6 +209,13 @@ class TestSmallestEigenvalue:
         s = smallest_eigenvalue(A)
         assert not s.is_real
         assert abs(s.estimate - (1 + 5j)) < 1e-6
+
+    def test_one_root_isolation_per_instance(self):
+        # full_spectrum_numeric and smallest_eigenvalue share one cache key
+        A = ExactMatrix([[int(3 * x) + 1 for x in row] for row in STAR4_EXAMPLE.matrix.rows])
+        before = _real_roots_cached.cache_info().misses
+        run_conjecture(A, make_star(4, 1))
+        assert _real_roots_cached.cache_info().misses - before == 1
 
 
 class TestPerron:
