@@ -7,7 +7,13 @@ of every pendant-deleted block.  ``minor_plan`` lists them once, and
 ``hypothesis_violations`` counts the non-positive ones in Python integers,
 which never overflow, so one code path serves every entry range.
 
-Greedy repair drives that count to zero (``repair_chunk``).  Rejection
+Greedy repair drives that count to zero.  ``repair_plan`` compiles the
+plan into its distinct minors, their multiplicities and, per entry, the
+minors that contain it; ``repair_start`` keeps one failing bit per distinct
+minor, and ``repair_chunk`` re-evaluates only the minors a proposal
+touches: the failing ones first, then the passing ones, rejecting exactly
+as soon as the weighted count would rise.  A proposal is kept iff the
+count does not rise, the same rule as a full recount.  Rejection
 sampling takes the first candidate of a batch with no violation
 (``screen_batch_vectorized``), after an int64 numpy prefilter of the minors
 of size <= 3 whenever they provably fit.  Every candidate either mode
@@ -17,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,24 +98,96 @@ def hypothesis_violations(a: list[list[int]], plan: tuple[Minor, ...]) -> int:
     return sum(minor_value(a, rows, cols) <= 0 for rows, cols in plan)
 
 
-def repair_chunk(a, pos_i, pos_j, vals, plan, symmetric: bool, current: int) -> tuple[int, int]:
-    """Greedy single-entry mutations of `a`, in place.
+@dataclass(frozen=True)
+class RepairPlan:
+    """A minor plan compiled for incremental repair.
 
-    Proposal t sets a[pos_i[t]][pos_j[t]] (and its mirror when
-    `symmetric`) to vals[t], and is kept unless it raises the violation
-    count.  Stops once the count reaches zero; returns (count, proposals
-    used).
+    ``minors`` are the distinct minors of the plan in first-seen order and
+    ``weights`` how often the plan lists each, so a weighted count of the
+    failing ones equals ``hypothesis_violations``.  ``touched[i][j]`` holds
+    the ids of the minors that contain entry (i, j), and also those that
+    contain (j, i) when proposals are ``symmetric``.
     """
+
+    minors: tuple[Minor, ...]
+    weights: tuple[int, ...]
+    touched: tuple[tuple[tuple[int, ...], ...], ...]
+    symmetric: bool
+
+
+def repair_plan(plan: tuple[Minor, ...], n: int, symmetric: bool) -> RepairPlan:
+    """Compile `plan` for single-entry proposals on an n-by-n matrix."""
+    weight = Counter(plan)
+    minors = tuple(weight)
+    cells = [[set() for _ in range(n)] for _ in range(n)]
+    for m, (rows, cols) in enumerate(minors):
+        for r in rows:
+            for c in cols:
+                cells[r][c].add(m)
+                if symmetric:
+                    cells[c][r].add(m)
+    return RepairPlan(
+        minors=minors,
+        weights=tuple(weight[m] for m in minors),
+        touched=tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells),
+        symmetric=symmetric,
+    )
+
+
+def repair_start(a: list[list[int]], rplan: RepairPlan) -> tuple[int, list[bool]]:
+    """(violation count, failing bit per distinct minor) of a start matrix.
+
+    The count is the weighted sum of the bits, which equals
+    ``hypothesis_violations(a, plan)``.
+    """
+    bad = [minor_value(a, rows, cols) <= 0 for rows, cols in rplan.minors]
+    return sum(w for w, b in zip(rplan.weights, bad) if b), bad
+
+
+def repair_chunk(
+    a, pos_i, pos_j, vals, rplan: RepairPlan, bad: list[bool], current: int
+) -> tuple[int, int]:
+    """Greedy single-entry mutations of `a` and its failing bits `bad`, in place.
+
+    Proposal t sets a[pos_i[t]][pos_j[t]] (and its mirror when the plan is
+    symmetric) to vals[t], and is kept unless it raises the violation
+    count.  Only the minors containing the changed entries are evaluated:
+    the failing ones first, since only they can lower the count, then the
+    passing ones, rejecting as soon as the count would rise.  Stops once the
+    count reaches zero; returns (count, proposals used).
+    """
+    minors, weights, touched = rplan.minors, rplan.weights, rplan.touched
+    symmetric = rplan.symmetric
     for t, (i, j, v) in enumerate(zip(pos_i.tolist(), pos_j.tolist(), vals.tolist())):
         if current == 0:
             return current, t
         old_ij, old_ji = a[i][j], a[j][i]
+        if old_ij == v and (old_ji == v or not symmetric):
+            continue  # an unchanged matrix keeps its count, so it is kept
         a[i][j] = v
         if symmetric:
             a[j][i] = v
-        new = hypothesis_violations(a, plan)
-        if new <= current:
-            current = new
+        ids = touched[i][j]
+        delta = 0
+        flips = []
+        for m in ids:
+            if bad[m]:
+                rows, cols = minors[m]
+                if minor_value(a, rows, cols) > 0:
+                    delta -= weights[m]
+                    flips.append(m)
+        for m in ids:
+            if not bad[m]:
+                rows, cols = minors[m]
+                if minor_value(a, rows, cols) <= 0:
+                    delta += weights[m]
+                    if delta > 0:
+                        break
+                    flips.append(m)
+        if delta <= 0:
+            current += delta
+            for m in flips:
+                bad[m] = not bad[m]
         else:
             a[i][j] = old_ij
             a[j][i] = old_ji

@@ -106,21 +106,20 @@ def _generate_slot(cfg: GenConfig, slot: int, lane: int = 0) -> tuple[ExactMatri
 
 
 def _generate_repair(cfg, plan, rng, n, lo, hi) -> tuple[ExactMatrix | None, int]:
+    rplan = _kernels.repair_plan(plan, n, cfg.symmetric)
     for attempt in range(cfg.max_attempts):
         a = rng.integers(lo, hi + 1, size=(n, n), dtype=np.int64)
         if cfg.symmetric:
             a = _symmetrize(a[None])[0]
         a = a.tolist()
-        current = _kernels.hypothesis_violations(a, plan)
+        current, bad = _kernels.repair_start(a, rplan)
         rounds_left = cfg.repair_rounds
         while rounds_left > 0 and current > 0:
             size = min(_REPAIR_CHUNK, rounds_left)
             pos_i = rng.integers(0, n, size=size, dtype=np.int64)
             pos_j = rng.integers(0, n, size=size, dtype=np.int64)
             vals = rng.integers(lo, hi + 1, size=size, dtype=np.int64)
-            current, used = _kernels.repair_chunk(
-                a, pos_i, pos_j, vals, plan, cfg.symmetric, current
-            )
+            current, used = _kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, bad, current)
             rounds_left -= used
         if current == 0:
             candidate = ExactMatrix(a)

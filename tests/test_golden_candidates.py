@@ -39,6 +39,12 @@ GOLDEN = {
         "48 46 85 70 56\n51 132 38 8 53\n14 12 147 17 9\n70 67 36 134 62\n58 28 52 21 131\n",
         1,
     ),
+    "star6-aug-repair-s61": (
+        dict(tree=make_star(6, 1), seed=61, augmented=True, repair=True, max_attempts=50),
+        "44 52 59 24 75 69\n80 137 107 23 81 114\n40 5 136 17 23 36\n"
+        "67 76 41 124 78 50\n15 14 15 1 134 21\n22 25 23 9 36 68\n",
+        1,
+    ),
     "star4-repair-big": (
         dict(tree=make_star(4, 1), seed=3, entry_range=(1, 2**21), repair=True, max_attempts=50),
         "1344251 1156174 1183592 424157\n1083995 1658680 884231 303250\n"

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from treetp import (
     ExactMatrix,
@@ -160,17 +161,77 @@ class TestScreenBatch:
         assert kernels.screen_batch_vectorized(batch, plan, 90) == per_matrix
 
 
+def reference_chunk(a, pos_i, pos_j, vals, plan, symmetric, current):
+    """The greedy repair rule with a full recount after every proposal."""
+    for t, (i, j, v) in enumerate(zip(pos_i.tolist(), pos_j.tolist(), vals.tolist())):
+        if current == 0:
+            return current, t
+        old_ij, old_ji = a[i][j], a[j][i]
+        a[i][j] = v
+        if symmetric:
+            a[j][i] = v
+        new = kernels.hypothesis_violations(a, plan)
+        if new <= current:
+            current = new
+        else:
+            a[i][j], a[j][i] = old_ij, old_ji
+    return current, len(vals)
+
+
 class TestRepairChunk:
     def test_symmetric_mutations_preserve_symmetry(self, rng):
         plan = kernels.minor_plan(make_pitchfork(), False)
+        rplan = kernels.repair_plan(plan, 5, True)
         a = np.array([[rng.randint(1, 60) for _ in range(5)] for _ in range(5)], dtype=np.int64)
         a = (np.triu(a) + np.triu(a, 1).T).tolist()
         size = 200
         pos_i = np.array([rng.randrange(5) for _ in range(size)], dtype=np.int64)
         pos_j = np.array([rng.randrange(5) for _ in range(size)], dtype=np.int64)
         vals = np.array([rng.randint(1, 60) for _ in range(size)], dtype=np.int64)
-        start = kernels.hypothesis_violations(a, plan)
-        current, used = kernels.repair_chunk(a, pos_i, pos_j, vals, plan, True, start)
+        start, bad = kernels.repair_start(a, rplan)
+        current, used = kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, bad, start)
         assert a == [list(row) for row in zip(*a)]
         assert current == kernels.hypothesis_violations(a, plan) <= start
         assert 0 < used <= size
+
+    @pytest.mark.parametrize(
+        "tree, augmented, symmetric, hi",
+        [
+            (make_star(6, 1), True, False, 150),
+            (make_pitchfork(), False, True, 150),
+            (make_pitchfork(), False, False, 60),
+            (make_star(4, 1), False, False, 2**21),
+        ],
+        ids=["star6-augmented", "pitchfork-symmetric", "pitchfork", "star4-big"],
+    )
+    def test_decisions_match_full_recount(self, tree, augmented, symmetric, hi):
+        n = tree.n
+        plan = kernels.minor_plan(tree, augmented)
+        rplan = kernels.repair_plan(plan, n, symmetric)
+        gen = np.random.default_rng(20070)
+        for _ in range(3):
+            a = gen.integers(1, hi + 1, size=(n, n), dtype=np.int64)
+            if symmetric:
+                a = np.triu(a) + np.triu(a, 1).T
+            a = a.tolist()
+            ref = [row[:] for row in a]
+            current, bad = kernels.repair_start(a, rplan)
+            ref_current = kernels.hypothesis_violations(ref, plan)
+            assert current == ref_current
+            for _ in range(12):
+                if current == 0:
+                    break
+                size = 256
+                pos_i = gen.integers(0, n, size=size, dtype=np.int64)
+                pos_j = gen.integers(0, n, size=size, dtype=np.int64)
+                if symmetric:
+                    pos_j[::4] = pos_i[::4]  # diagonal proposals
+                vals = gen.integers(1, hi + 1, size=size, dtype=np.int64)
+                # proposals that leave the matrix as it is
+                vals[1::8] = [a[i][j] for i, j in zip(pos_i[1::8], pos_j[1::8])]
+                current, used = kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, bad, current)
+                ref_current, ref_used = reference_chunk(
+                    ref, pos_i, pos_j, vals, plan, symmetric, ref_current
+                )
+                assert (a, current, used) == (ref, ref_current, ref_used)
+                assert bad == [kernels.minor_value(a, r, c) <= 0 for r, c in rplan.minors]
