@@ -24,7 +24,7 @@ from .conjecture_lab import (
 from .exact_linalg import ExactMatrix, adjugate, matrix_from_text, matrix_to_text
 from .fixtures import FIXTURES, get_fixture
 from .positivity import is_t_tp, pendant_deletion_hypothesis
-from .spectral import full_spectrum_numeric, smallest_eig_vector, smallest_eigenvalue
+from .spectral import full_spectrum_numeric, smallest_eig_vector
 from .tree_model import enumerate_labelled_trees, parse_tree_spec, tree_signing
 
 
@@ -149,8 +149,9 @@ def cmd_spectrum(args) -> int:
         spectrum = summary.full_spectrum
     else:
         summary = None
-        smallest = smallest_eigenvalue(A)
-        spectrum = full_spectrum_numeric(A).values
+        numeric = full_spectrum_numeric(A)
+        smallest = numeric.smallest
+        spectrum = numeric.values
 
     def cnum(z: complex) -> str:
         if z.imag == 0:

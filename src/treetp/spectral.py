@@ -6,6 +6,10 @@ polynomial); complex eigenvalues are estimated numerically, which is all
 they are needed for.  The eigenvector of the smallest eigenvalue prefers
 the adjugate route: when the adjugate is signature similar to a positive
 matrix, power iteration on that positive matrix is provably convergent.
+
+Each instance computes its characteristic polynomial, root isolation and
+numeric spectrum once, in `full_spectrum_numeric`, whose result carries
+them down the chain; there is no module-level cache.
 """
 from __future__ import annotations
 
@@ -13,12 +17,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import ExactMatrix, adjugate, det
+from .exact_linalg import ExactMatrix
 from .tree_model import LabelledTree, SigningVerdict, is_signed_according_to, tree_signing
 from .positivity import AdjointCheck, check_adjoint_conclusion
 
@@ -169,7 +172,6 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-@lru_cache(maxsize=512)
 def char_poly(A: ExactMatrix) -> Polynomial:
     """Exact det(xI - A) via the Faddeev-LeVerrier recurrence."""
     n = A.n
@@ -307,8 +309,10 @@ def _isolate_squarefree(f: Polynomial) -> list[tuple[Fraction, Fraction]]:
         f = f // Polynomial([-hit, 1])
 
 
-@lru_cache(maxsize=512)
-def _real_roots_cached(p: Polynomial, refine_to: Fraction | None) -> tuple[RootInterval, ...]:
+def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInterval]:
+    """Isolating intervals with exact multiplicities for all real roots of p."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no well-defined roots")
     found: list[tuple[Fraction, Fraction, int, tuple[int, ...]]] = []
     for factor, mult in squarefree_decomposition(p):
         f_ints = _int_coeffs(factor)
@@ -334,30 +338,17 @@ def _real_roots_cached(p: Polynomial, refine_to: Fraction | None) -> tuple[RootI
             lo, hi = _refine(f_ints, lo, hi, refine_to)
         out.append(RootInterval(lo, hi, mult))
     out.sort(key=lambda r: r.lo + r.hi)
-    return tuple(out)
+    return out
 
 
-def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInterval]:
-    """Isolating intervals with exact multiplicities for all real roots of p."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no well-defined roots")
-    return list(_real_roots_cached(p, refine_to))
-
-
-@dataclass(frozen=True)
-class SpectrumEstimate:
-    values: tuple[complex, ...]
-    converged: bool
-    max_scaled_residual: float
-
-
-def _roots_durand_kerner(p: Polynomial, tol: float) -> SpectrumEstimate:
+def _roots_durand_kerner(p: Polynomial, tol: float) -> tuple[list[complex], bool, float]:
+    """(estimates, converged, worst scaled residual) for all roots of p."""
     n = p.degree
     if n < 1:
-        return SpectrumEstimate((), True, 0.0)
+        return [], True, 0.0
     monic = [float(c / p.coeffs[-1]) for c in p.coeffs]
     if n == 1:
-        return SpectrumEstimate((complex(-monic[0]),), True, 0.0)
+        return [complex(-monic[0])], True, 0.0
 
     def eval_monic(z: complex) -> complex:
         acc = complex(1.0)
@@ -389,7 +380,7 @@ def _roots_durand_kerner(p: Polynomial, tol: float) -> SpectrumEstimate:
         return abs(eval_monic(w)) / scale
 
     worst = max(scaled_residual(w) for w in z)
-    return SpectrumEstimate(tuple(z), worst <= tol, worst)
+    return z, worst <= tol, worst
 
 
 def _pair_conjugates(values: Sequence[complex], n_real: int) -> list[complex]:
@@ -423,23 +414,6 @@ def _pair_conjugates(values: Sequence[complex], n_real: int) -> list[complex]:
     return [v for v in out if v is not None]
 
 
-@lru_cache(maxsize=512)
-def full_spectrum_numeric(A: ExactMatrix, tol: float = 1e-9) -> SpectrumEstimate:
-    """All n eigenvalue estimates from the exact characteristic polynomial.
-
-    Deterministic simultaneous iteration; complex estimates are forced
-    into exact conjugate pairs, with the count of real values taken from
-    the exact root isolation.
-    """
-    p = char_poly(A)
-    est = _roots_durand_kerner(p, tol)
-    # the key smallest_eigenvalue uses, so one isolation serves both
-    n_real = sum(r.multiplicity for r in real_roots(p, refine_to=ISOLATION_WIDTH))
-    paired = _pair_conjugates(est.values, n_real)
-    paired.sort(key=lambda z: (z.real, z.imag))
-    return SpectrumEstimate(tuple(paired), est.converged, est.max_scaled_residual)
-
-
 @dataclass(frozen=True)
 class SmallestEigen:
     """Classification of the minimum-modulus eigenvalue."""
@@ -453,7 +427,7 @@ class SmallestEigen:
     ambiguous: bool
 
 
-def _modulus_entities(rroots: list[RootInterval], spectrum: Sequence[complex]):
+def _modulus_entities(rroots: Sequence[RootInterval], spectrum: Sequence[complex]):
     """(modulus, kind, payload) per distinct eigenvalue; conjugate pairs count once."""
     entities = []
     for r in rroots:
@@ -466,12 +440,8 @@ def _modulus_entities(rroots: list[RootInterval], spectrum: Sequence[complex]):
     return entities
 
 
-def smallest_eigenvalue(A: ExactMatrix) -> SmallestEigen:
-    """Identify and classify the eigenvalue of minimum modulus."""
-    p = char_poly(A)
-    rroots = real_roots(p, refine_to=ISOLATION_WIDTH)
-    spectrum = full_spectrum_numeric(A)
-    entities = _modulus_entities(rroots, spectrum.values)
+def _classify_smallest(rroots: Sequence[RootInterval], spectrum: Sequence[complex]) -> SmallestEigen:
+    entities = _modulus_entities(rroots, spectrum)
     m1, kind, payload = entities[0]
     if len(entities) > 1:
         m2 = entities[1][0]
@@ -500,6 +470,41 @@ def smallest_eigenvalue(A: ExactMatrix) -> SmallestEigen:
         modulus_margin=margin,
         ambiguous=ambiguous,
     )
+
+
+@dataclass(frozen=True)
+class SpectrumEstimate:
+    """One instance's spectral pass, carried down the chain."""
+
+    values: tuple[complex, ...]
+    converged: bool
+    max_scaled_residual: float
+    char_poly: Polynomial
+    roots: tuple[RootInterval, ...]
+    smallest: SmallestEigen
+
+
+def full_spectrum_numeric(A: ExactMatrix, tol: float = 1e-9) -> SpectrumEstimate:
+    """All n eigenvalue estimates from the exact characteristic polynomial.
+
+    Deterministic simultaneous iteration; complex estimates are forced
+    into exact conjugate pairs, with the count of real values taken from
+    the exact root isolation.  The result also holds the polynomial, its
+    isolated real roots and the classified minimum-modulus eigenvalue.
+    """
+    p = char_poly(A)
+    roots = tuple(real_roots(p, refine_to=ISOLATION_WIDTH))
+    values, converged, residual = _roots_durand_kerner(p, tol)
+    paired = _pair_conjugates(values, sum(r.multiplicity for r in roots))
+    paired.sort(key=lambda z: (z.real, z.imag))
+    return SpectrumEstimate(
+        tuple(paired), converged, residual, p, roots, _classify_smallest(roots, paired)
+    )
+
+
+def smallest_eigenvalue(A: ExactMatrix) -> SmallestEigen:
+    """Identify and classify the eigenvalue of minimum modulus."""
+    return full_spectrum_numeric(A).smallest
 
 
 def perron_vector(M, tol: float = 1e-12, max_iter: int = 100_000) -> tuple[float, np.ndarray]:
@@ -545,31 +550,17 @@ class SpectralSummary:
     route: str
 
 
-def _solve_exact(B: ExactMatrix, rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over the rationals; None when B is singular."""
-    n = B.n
-    m = [list(row) + [rhs[i]] for i, row in enumerate(B.rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+def _solve_ones_or_kernel(B: ExactMatrix) -> tuple[list[Fraction], bool]:
+    """Gauss-Jordan over the rationals on [B | 1].
 
-
-def _nullspace_vector(B: ExactMatrix) -> list[Fraction] | None:
-    """One exact nonzero kernel vector of B, or None if B is invertible."""
+    Returns (x, False) with B x = 1 when B is invertible, else (v, True)
+    with v the exact kernel vector of B set by its first free column.
+    """
     n = B.n
-    m = [list(row) for row in B.rows]
+    m = [list(row) + [Fraction(1)] for row in B.rows]
     pivots: list[int] = []
-    row = 0
     for col in range(n):
+        row = len(pivots)
         piv = next((r for r in range(row, n) if m[r][col] != 0), None)
         if piv is None:
             continue
@@ -581,15 +572,14 @@ def _nullspace_vector(B: ExactMatrix) -> list[Fraction] | None:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[row])]
         pivots.append(col)
-        row += 1
-        if row == n:
-            return None
+    if len(pivots) == n:
+        return [m[r][n] for r in range(n)], False
     free = next(c for c in range(n) if c not in pivots)
     vec = [Fraction(0)] * n
     vec[free] = Fraction(1)
     for r, col in enumerate(pivots):
         vec[col] = -m[r][free]
-    return vec
+    return vec, True
 
 
 def _normalizations(v: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
@@ -618,9 +608,8 @@ def smallest_eig_vector(
     """
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
-    p = char_poly(A)
-    smallest = smallest_eigenvalue(A)
     spectrum = full_spectrum_numeric(A)
+    p, smallest = spectrum.char_poly, spectrum.smallest
     check = adjoint_check if adjoint_check is not None else check_adjoint_conclusion(A, tree)
     if all(x == 0 for row in check.adjugate.rows for x in row):
         raise ArithmeticError("adjugate is identically zero: rank < n-1")
@@ -632,7 +621,7 @@ def smallest_eig_vector(
     route = "none"
 
     if check.ok:
-        d = det(A)
+        d = (-1) ** A.n * p.coeffs[0]  # det(A) = (-1)^n p(0)
         signs = tree_signing(tree, 1)
         if d != 0:
             conj = ExactMatrix(
@@ -665,13 +654,10 @@ def smallest_eig_vector(
                 for i in range(A.n)
             ]
         )
-        ones = [Fraction(1)] * A.n
-        solution = _solve_exact(shifted, ones)
-        if solution is None:
+        solution, singular = _solve_ones_or_kernel(shifted)
+        if singular:
             # the midpoint hit the eigenvalue exactly; take the exact kernel
-            exact_vector = _nullspace_vector(shifted)
-            if exact_vector is None:
-                raise ArithmeticError("shifted matrix unexpectedly invertible")
+            exact_vector = solution
             vector = np.array([float(x) for x in exact_vector])
         else:
             biggest = max(abs(x) for x in solution)

@@ -1,4 +1,7 @@
+import importlib
 import math
+import pkgutil
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +22,9 @@ from treetp import (
     tree_signing,
 )
 from treetp import test_conjecture as run_conjecture
-from treetp.spectral import _real_roots_cached, poly_gcd, squarefree_decomposition
+import treetp
+from treetp import spectral
+from treetp.spectral import poly_gcd, squarefree_decomposition
 from treetp.fixtures import (
     PITCHFORK_COUNTEREXAMPLE,
     STAR4_EXAMPLE,
@@ -210,12 +215,38 @@ class TestSmallestEigenvalue:
         assert not s.is_real
         assert abs(s.estimate - (1 + 5j)) < 1e-6
 
-    def test_one_root_isolation_per_instance(self):
-        # full_spectrum_numeric and smallest_eigenvalue share one cache key
+    def test_one_root_isolation_per_instance(self, monkeypatch):
+        # each stage of the chain runs once and is passed down, not recomputed
+        calls = {}
+
+        def counted(name):
+            fn = getattr(spectral, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(spectral, name, wrapper)
+
+        for name in ("char_poly", "real_roots", "full_spectrum_numeric"):
+            counted(name)
         A = ExactMatrix([[int(3 * x) + 1 for x in row] for row in STAR4_EXAMPLE.matrix.rows])
-        before = _real_roots_cached.cache_info().misses
         run_conjecture(A, make_star(4, 1))
-        assert _real_roots_cached.cache_info().misses - before == 1
+        assert calls == {"char_poly": 1, "real_roots": 1, "full_spectrum_numeric": 1}
+
+
+def test_no_module_level_caches():
+    # spectral work is passed down explicitly; no treetp module keeps a cache
+    for info in pkgutil.iter_modules(treetp.__path__):
+        importlib.import_module(f"treetp.{info.name}")
+    cached = [
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name == "treetp" or name.startswith("treetp.")
+        for attr, obj in vars(module).items()
+        if callable(getattr(obj, "cache_clear", None))
+    ]
+    assert cached == []
 
 
 class TestPerron:
