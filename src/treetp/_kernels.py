@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_linalg import _det_int
+from .exact_linalg import minor_value
 from .positivity import _initial_minor_lists
 from .tree_model import LabelledTree, maximal_paths, pendant_vertices
 
@@ -66,31 +66,6 @@ def minor_plan(tree: LabelledTree, augmented: bool) -> tuple[Minor, ...]:
             for size in range(1, len(keep) + 1):
                 plan.extend((sel, sel) for sel in itertools.combinations(keep, size))
     return tuple(plan)
-
-
-def minor_value(a, rows, cols):
-    """Exact det a[rows; cols], reading entries as a[r][c].
-
-    `a` is a matrix as nested lists of ints.  For minors of size <= 3 it
-    may also be an (n, n, B) int64 array, which gives the minors of a
-    whole batch at once.
-    """
-    k = len(rows)
-    if k == 1:
-        return a[rows[0]][cols[0]]
-    if k == 2:
-        r0, r1 = a[rows[0]], a[rows[1]]
-        c0, c1 = cols
-        return r0[c0] * r1[c1] - r0[c1] * r1[c0]
-    if k == 3:
-        r0, r1, r2 = a[rows[0]], a[rows[1]], a[rows[2]]
-        c0, c1, c2 = cols
-        return (
-            r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
-            - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
-            + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0])
-        )
-    return _det_int([[a[r][c] for c in cols] for r in rows])
 
 
 def hypothesis_violations(a: list[list[int]], plan: tuple[Minor, ...]) -> int:
@@ -194,15 +169,14 @@ def repair_chunk(
     return current, len(vals)
 
 
-def screen_batch_vectorized(batch: np.ndarray, plan: tuple[Minor, ...], hi: int) -> int:
+def screen_batch_vectorized(batch: np.ndarray, minors: tuple[Minor, ...], hi: int) -> int:
     """Index of the first matrix in the (B, n, n) batch with no violation, or -1.
 
-    With entries in [0, hi] and the int64 guard met for 3x3 minors, the
-    distinct plan minors of size <= 3 are evaluated over the whole batch
-    in int64; only the survivors are checked against the remaining minors
-    in Python integers.
+    `minors` are the plan's distinct minors, in order.  With entries in
+    [0, hi] and the int64 guard met for 3x3 minors, those of size <= 3 are
+    evaluated over the whole batch in int64; only the survivors are checked
+    against the remaining minors in Python integers.
     """
-    minors = list(dict.fromkeys(plan))
     survivors = range(batch.shape[0])
     if int64_screen_safe(3, hi):
         stack = batch.transpose(1, 2, 0)  # stack[r][c] is the view batch[:, r, c]

@@ -77,14 +77,32 @@ def _symmetrize(batch: np.ndarray) -> np.ndarray:
     return upper + np.swapaxes(np.triu(batch, 1), -1, -2)
 
 
-def _generate_slot(cfg: GenConfig, slot: int, lane: int = 0) -> tuple[ExactMatrix | None, int]:
-    """One deterministic candidate stream; returns (matrix, attempts used)."""
+def _compile(cfg: GenConfig):
+    """The objective every slot of `cfg` evaluates, built once per batch.
+
+    A ``RepairPlan`` when repairing, else the plan's distinct minors for
+    the screen.
+    """
     plan = _kernels.minor_plan(cfg.tree, cfg.augmented)
+    if cfg.repair:
+        return _kernels.repair_plan(plan, cfg.tree.n, cfg.symmetric)
+    return tuple(dict.fromkeys(plan))
+
+
+def _generate_slot(
+    cfg: GenConfig, slot: int, lane: int = 0, compiled=None
+) -> tuple[ExactMatrix | None, int]:
+    """One deterministic candidate stream; returns (matrix, attempts used).
+
+    `compiled` is ``_compile(cfg)``; it is built here when not given.
+    """
+    if compiled is None:
+        compiled = _compile(cfg)
     rng = _rng_for(cfg, slot, lane)
     n = cfg.tree.n
     lo, hi = cfg.entry_range
     if cfg.repair:
-        return _generate_repair(cfg, plan, rng, n, lo, hi)
+        return _generate_repair(cfg, compiled, rng, n, lo, hi)
     attempts = 0
     while attempts < cfg.max_attempts:
         size = min(_BATCH, cfg.max_attempts - attempts)
@@ -93,7 +111,7 @@ def _generate_slot(cfg: GenConfig, slot: int, lane: int = 0) -> tuple[ExactMatri
             batch = _symmetrize(batch)
         start = 0
         while start < size:
-            idx = _kernels.screen_batch_vectorized(batch[start:], plan, hi)
+            idx = _kernels.screen_batch_vectorized(batch[start:], compiled, hi)
             if idx < 0:
                 attempts += size - start
                 break
@@ -105,8 +123,7 @@ def _generate_slot(cfg: GenConfig, slot: int, lane: int = 0) -> tuple[ExactMatri
     return None, attempts
 
 
-def _generate_repair(cfg, plan, rng, n, lo, hi) -> tuple[ExactMatrix | None, int]:
-    rplan = _kernels.repair_plan(plan, n, cfg.symmetric)
+def _generate_repair(cfg, rplan, rng, n, lo, hi) -> tuple[ExactMatrix | None, int]:
     for attempt in range(cfg.max_attempts):
         a = rng.integers(lo, hi + 1, size=(n, n), dtype=np.int64)
         if cfg.symmetric:
@@ -232,8 +249,8 @@ def _config_echo(cfg: GenConfig) -> dict:
     }
 
 
-def _run_slot(cfg: GenConfig, slot: int, lane: int) -> dict | None:
-    matrix, _ = _generate_slot(cfg, slot, lane)
+def _run_slot(cfg: GenConfig, compiled, slot: int, lane: int) -> dict | None:
+    matrix, _ = _generate_slot(cfg, slot, lane, compiled)
     if matrix is None:
         return None
     verdict = test_conjecture(matrix, cfg.tree, cfg.augmented)
@@ -247,8 +264,8 @@ def _run_slot(cfg: GenConfig, slot: int, lane: int) -> dict | None:
 
 
 def _worker(args) -> list:
-    cfg, slots, lane = args
-    return [_run_slot(cfg, s, lane) for s in slots]
+    cfg, compiled, slots, lane = args
+    return [_run_slot(cfg, compiled, s, lane) for s in slots]
 
 
 def default_workers() -> int:
@@ -273,15 +290,16 @@ def batch_verify(
     """
     workers = default_workers() if workers is None else max(1, workers)
     slots = list(range(trials))
+    compiled = _compile(cfg)
     if workers == 1 or trials <= 1:
-        results = [_run_slot(cfg, s, _lane) for s in slots]
+        results = [_run_slot(cfg, compiled, s, _lane) for s in slots]
     else:
-        chunks = [(cfg, slots[w::workers], _lane) for w in range(workers)]
+        chunks = [(cfg, compiled, slots[w::workers], _lane) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_worker = list(pool.map(_worker, chunks))
         results = [None] * trials
         for w, chunk in enumerate(chunks):
-            for s, r in zip(chunk[1], per_worker[w]):
+            for s, r in zip(chunk[2], per_worker[w]):
                 results[s] = r
     generated = hypothesis_pass = conclusion_pass = counterexamples = 0
     exemplars = []

@@ -1,12 +1,17 @@
 """Exact rational dense linear algebra on small square matrices.
 
-Everything here is computed over arbitrary-precision rationals; no
-operation ever rounds.  Minors are taken over *ordered* index lists, so
-permuting a list flips the sign of the corresponding minor.
+Everything here is exact; no operation ever rounds.  The work runs on
+Python integers: ``clear_denominators`` scales rationals to integers, so
+determinants are fraction-free Bareiss eliminations on integer rows, and
+``faddeev_leverrier`` is one integer pass on A = B/d that gives the
+characteristic polynomial's coefficients and, by Cayley-Hamilton, the
+adjugate (singular matrices included).  Minors are taken over *ordered*
+index lists, so permuting a list flips the sign of the corresponding minor.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -183,6 +188,13 @@ def submatrix(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Exact
     return ExactMatrix([[A.rows[r - 1][c - 1] for c in cols] for r in rows])
 
 
+def clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """(ints, d): d is the positive LCM of the denominators and ints[k] = d * values[k]."""
+    values = list(values)
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
 def _det_int(rows: list[list[int]]) -> int:
     """Bareiss fraction-free elimination for integer matrices."""
     n = len(rows)
@@ -209,21 +221,44 @@ def _det_int(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def minor_value(a, rows, cols):
+    """Exact det a[rows; cols] for 0-based index lists, reading entries as a[r][c].
+
+    `a` is a matrix as nested lists of ints.  For minors of size <= 3 it
+    may also be an (n, n, B) int64 array, which gives the minors of a
+    whole batch at once.
+    """
+    k = len(rows)
+    if k == 1:
+        return a[rows[0]][cols[0]]
+    if k == 2:
+        r0, r1 = a[rows[0]], a[rows[1]]
+        c0, c1 = cols
+        return r0[c0] * r1[c1] - r0[c1] * r1[c0]
+    if k == 3:
+        r0, r1, r2 = a[rows[0]], a[rows[1]], a[rows[2]]
+        c0, c1, c2 = cols
+        return (
+            r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
+            - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
+            + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0])
+        )
+    return _det_int([[a[r][c] for c in cols] for r in rows])
+
+
 def det(A: ExactMatrix) -> Fraction:
     """Exact determinant via fraction-free elimination.
 
     Denominators are cleared row by row first so the elimination runs over
     plain integers with no intermediate fractions.
     """
-    scale = Fraction(1)
+    scale = 1
     int_rows: list[list[int]] = []
     for row in A.rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scale *= lcm
-        int_rows.append([int(x * lcm) for x in row])
-    return Fraction(_det_int(int_rows)) / scale
+        ints, d = clear_denominators(row)
+        scale *= d
+        int_rows.append(ints)
+    return Fraction(_det_int(int_rows), scale)
 
 
 def minor(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -231,23 +266,50 @@ def minor(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
     return det(submatrix(A, rows, cols))
 
 
-def adjugate(A: ExactMatrix) -> ExactMatrix:
-    """Exact adjugate: transpose of the cofactor matrix.
+def faddeev_leverrier(A: ExactMatrix) -> tuple[list[int], list[list[int]], int]:
+    """One integer Faddeev-LeVerrier pass: (c, N, d) with A = B/d, B integer.
 
-    Computed as n^2 cofactors so it is valid for singular matrices too.
+    c[k] is the coefficient of x^k in det(xI - B), so det(xI - A) has
+    coefficient c[k] / d^(n-k).  The recurrence N_0 = I,
+    c[n-k] = -tr(B N_(k-1)) / k, N_k = B N_(k-1) + c[n-k] I runs on
+    integers: the division by k is exact because every c[k] is an integer.
+    N is N_(n-1), and by Cayley-Hamilton B N_(n-1) = -c[0] I, so
+    adj(B) = (-1)^(n+1) N_(n-1) for every B, singular included.
+    """
+    n = A.n
+    ints, d = clear_denominators(x for row in A.rows for x in row)
+    B = [ints[i * n : (i + 1) * n] for i in range(n)]
+    cols = list(zip(*B))
+    c = [0] * (n + 1)
+    c[n] = 1
+    N = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n):
+        N_cols = list(zip(*N))
+        N = [[sum(map(operator.mul, row, col)) for col in N_cols] for row in B]
+        q, r = divmod(-sum(N[i][i] for i in range(n)), k)
+        assert r == 0, "Faddeev-LeVerrier trace not divisible by k"
+        c[n - k] = q
+        for i in range(n):
+            N[i][i] += q
+    # the last step needs only tr(B N_(n-1))
+    q, r = divmod(-sum(sum(map(operator.mul, N[j], cols[j])) for j in range(n)), n)
+    assert r == 0, "Faddeev-LeVerrier trace not divisible by n"
+    c[0] = q
+    return c, N, d
+
+
+def adjugate(A: ExactMatrix) -> ExactMatrix:
+    """Exact adjugate, valid for singular matrices too.
+
+    adj(A) = (-1)^(n+1) N_(n-1) / d^(n-1) from the integer
+    Faddeev-LeVerrier pass on A = B/d (Cayley-Hamilton).
     """
     n = A.n
     if n < 2:
         raise ValueError("adjugate requires n >= 2")
-    rows = A.rows
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        reduced = [row[:j] + row[j + 1 :] for row in rows]
-        for i in range(n):
-            sub = ExactMatrix(reduced[:i] + reduced[i + 1 :])
-            # adj entry (j, i) is the signed minor deleting row i, column j
-            out[j][i] = (-1) ** (i + j) * det(sub)
-    return ExactMatrix(out)
+    _, N, d = faddeev_leverrier(A)
+    sign, scale = (-1) ** (n + 1), d ** (n - 1)
+    return ExactMatrix([[Fraction(sign * x, scale) for x in row] for row in N])
 
 
 def _minor_or_one(A: ExactMatrix, rows: IndexList, cols: IndexList) -> Fraction:

@@ -9,10 +9,20 @@ submatrices, so only maximal paths are checked.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import ExactMatrix, IndexList, SignMatrix, adjugate, minor, submatrix
+from .exact_linalg import (
+    ExactMatrix,
+    IndexList,
+    SignMatrix,
+    adjugate,
+    clear_denominators,
+    minor,
+    minor_value,
+    submatrix,
+)
 from .tree_model import LabelledTree, TreePath, maximal_paths, pendant_vertices, tree_signing
 
 TP_MODES = ("initial-minors", "all-minors")
@@ -111,14 +121,36 @@ def is_tp(M: ExactMatrix, mode: str = "initial-minors") -> TpReport:
     """
     if mode not in TP_MODES:
         raise ValueError(f"mode must be one of {TP_MODES}, got {mode!r}")
-    lists = _all_minor_lists(M.n) if mode == "all-minors" else _initial_minor_lists(M.n)
+    if mode == "initial-minors":
+        failing, checked = _first_nonpositive(M, _initial_minor_lists(M.n))
+        return TpReport(failing is None, failing, checked)
+    # "all-minors" stays on `minor`, an independent reference for the above
     checked = 0
-    for rows, cols in lists:
+    for rows, cols in _all_minor_lists(M.n):
         checked += 1
         value = minor(M, rows, cols)
         if value <= 0:
             return TpReport(False, TpWitness(IndexList(rows), IndexList(cols), value), checked)
     return TpReport(True, None, checked)
+
+
+def _first_nonpositive(M: ExactMatrix, lists) -> tuple[TpWitness | None, int]:
+    """(witness of the first non-positive minor or None, minors checked).
+
+    Each row is scaled to integers by the LCM of its denominators, which is
+    positive, so every minor keeps its sign; a witness value is the integer
+    minor divided by the product of its rows' scales.
+    """
+    a, scales = zip(*map(clear_denominators, M.rows))
+    checked = 0
+    for rows, cols in lists:
+        checked += 1
+        r0 = [r - 1 for r in rows]
+        value = minor_value(a, r0, [c - 1 for c in cols])
+        if value <= 0:
+            value = Fraction(value, math.prod(scales[r] for r in r0))
+            return TpWitness(IndexList(rows), IndexList(cols), value), checked
+    return None, checked
 
 
 def path_matrix(A: ExactMatrix, path: TreePath) -> ExactMatrix:
@@ -141,14 +173,13 @@ def is_t_tp(A: ExactMatrix, tree: LabelledTree, mode: str = "initial-minors") ->
 
 def is_p_matrix(M: ExactMatrix) -> PMatrixReport:
     """All principal minors strictly positive; witnesses surface smallest-first."""
-    checked = 0
-    for size in range(1, M.n + 1):
-        for idx in itertools.combinations(range(1, M.n + 1), size):
-            checked += 1
-            value = minor(M, idx, idx)
-            if value <= 0:
-                return PMatrixReport(False, TpWitness(IndexList(idx), IndexList(idx), value), checked)
-    return PMatrixReport(True, None, checked)
+    principal = (
+        (idx, idx)
+        for size in range(1, M.n + 1)
+        for idx in itertools.combinations(range(1, M.n + 1), size)
+    )
+    failing, checked = _first_nonpositive(M, principal)
+    return PMatrixReport(failing is None, failing, checked)
 
 
 def pendant_deletion_hypothesis(A: ExactMatrix, tree: LabelledTree) -> HypothesisReport:

@@ -1,11 +1,14 @@
 """Spectral analysis built on the exact characteristic polynomial.
 
-Realness and simplicity of the minimum-modulus eigenvalue are decided
-exactly (Sturm sequences on the square-free part of the characteristic
-polynomial); complex eigenvalues are estimated numerically, which is all
-they are needed for.  The eigenvector of the smallest eigenvalue prefers
-the adjugate route: when the adjugate is signature similar to a positive
-matrix, power iteration on that positive matrix is provably convergent.
+The polynomial comes from the integer Faddeev-LeVerrier pass in
+``exact_linalg``.  Realness and simplicity of the minimum-modulus
+eigenvalue are decided exactly (Sturm sequences on the square-free part of
+the characteristic polynomial, bisected on integer numerators over a
+power-of-two denominator); complex eigenvalues are estimated numerically,
+which is all they are needed for.  The eigenvector of the smallest
+eigenvalue prefers the adjugate route: when the adjugate is signature
+similar to a positive matrix, power iteration on that positive matrix is
+provably convergent.
 
 Each instance computes its characteristic polynomial, root isolation and
 numeric spectrum once, in `full_spectrum_numeric`, whose result carries
@@ -21,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import ExactMatrix
+from .exact_linalg import ExactMatrix, clear_denominators, faddeev_leverrier
 from .tree_model import LabelledTree, SigningVerdict, is_signed_according_to, tree_signing
 from .positivity import AdjointCheck, check_adjoint_conclusion
 
@@ -72,12 +75,6 @@ class Polynomial:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
         return acc
 
     def derivative(self) -> "Polynomial":
@@ -173,21 +170,10 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 
 def char_poly(A: ExactMatrix) -> Polynomial:
-    """Exact det(xI - A) via the Faddeev-LeVerrier recurrence."""
+    """Exact det(xI - A) from the integer Faddeev-LeVerrier pass on A = B/d."""
+    c, _, d = faddeev_leverrier(A)
     n = A.n
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    N = ExactMatrix.identity(n)
-    for k in range(1, n + 1):
-        AN = A * N
-        trace = sum(AN.rows[i][i] for i in range(n))
-        c = -trace / k
-        coeffs[n - k] = c
-        if k < n:
-            N = ExactMatrix([
-                [AN.rows[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)
-            ])
-    return Polynomial(coeffs)
+    return Polynomial([Fraction(ck, d ** (n - k)) for k, ck in enumerate(c)])
 
 
 @dataclass(frozen=True)
@@ -210,21 +196,15 @@ class RootInterval:
 
 def _int_coeffs(p: Polynomial) -> tuple[int, ...]:
     """Positive rescale to coprime integer coefficients (signs preserved)."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    ints, _ = clear_denominators(p.coeffs)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints)
 
 
-def _sign_at(ints: tuple[int, ...], x: Fraction) -> int:
-    """Sign of the polynomial at x, in pure integer arithmetic."""
-    num, den = x.numerator, x.denominator
+def _sign_at(ints: tuple[int, ...], num: int, den: int) -> int:
+    """Sign of the polynomial at num/den (den > 0), in pure integer arithmetic."""
     acc = ints[-1]
     dpow = 1
     for c in reversed(ints[:-1]):
@@ -241,10 +221,10 @@ def _sturm_chain(f: Polynomial) -> list[tuple[int, ...]]:
     return [_int_coeffs(q) for q in chain]
 
 
-def _variations(chain: list[tuple[int, ...]], x: Fraction) -> int:
+def _variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
     signs = []
     for q in chain:
-        s = _sign_at(q, x)
+        s = _sign_at(q, num, den)
         if s != 0:
             signs.append(s)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -258,53 +238,70 @@ def _cauchy_bound(f: Polynomial) -> Fraction:
 def _refine(
     f_ints: tuple[int, ...], lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    # one simple root in (lo, hi); f is nonzero with opposite signs at the ends
-    s_lo = _sign_at(f_ints, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s = _sign_at(f_ints, mid)
+    # one simple root in (lo, hi); f is nonzero with opposite signs at the ends.
+    # Bisect on integers: the ends are a/den and b/den, and each step
+    # doubles den, so the points are the rationals (lo + hi) / 2 would give.
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    s_lo = _sign_at(f_ints, a, den)
+    while (b - a) * width.denominator > width.numerator * den:
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        s = _sign_at(f_ints, mid, den)
         if s == 0:
-            return mid, mid
+            return Fraction(mid, den), Fraction(mid, den)
         if s == s_lo:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b = mid
+    return Fraction(a, den), Fraction(b, den)
 
 
-def _isolate_squarefree(f: Polynomial) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals (or exact points) for all real roots of f."""
+def _isolate_squarefree(
+    f: Polynomial,
+) -> tuple[list[tuple[Fraction, Fraction]], tuple[int, ...]]:
+    """Disjoint isolating intervals (or exact points) for all real roots of f.
+
+    Also returns the integer coefficients of the deflated factor whose
+    simple roots the proper intervals isolate.  It has no root at their
+    ends, which f may have: a rational root peeled off at a bisection
+    midpoint can be the end of an interval of the deflated factor.
+    """
     exact: list[Fraction] = []
     # peel off rational roots hit during bisection by deflation
     while True:
         if f.degree == 1:
             exact.append(-f.coeffs[0] / f.coeffs[1])
-            return [(r, r) for r in exact]
+            return [(r, r) for r in exact], ()
         if f.degree < 1:
-            return [(r, r) for r in exact]
+            return [(r, r) for r in exact], ()
         f_ints = _int_coeffs(f)
         chain = _sturm_chain(f)
         bound = _cauchy_bound(f)
         hit = None
         intervals = []
-        stack = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
+        # an interval is (a, b) over the denominator bound.denominator << depth
+        b0, d0 = bound.numerator, bound.denominator
+        stack = [(-b0, b0, 0, _variations(chain, -b0, d0), _variations(chain, b0, d0))]
         while stack:
-            lo, hi, v_lo, v_hi = stack.pop()
+            a, b, depth, v_lo, v_hi = stack.pop()
             count = v_lo - v_hi
             if count == 0:
                 continue
             if count == 1:
-                intervals.append((lo, hi))
+                den = d0 << depth
+                intervals.append((Fraction(a, den), Fraction(b, den)))
                 continue
-            mid = (lo + hi) / 2
-            if _sign_at(f_ints, mid) == 0:
-                hit = mid
+            mid, depth = a + b, depth + 1
+            den = d0 << depth
+            if _sign_at(f_ints, mid, den) == 0:
+                hit = Fraction(mid, den)
                 break
-            v_mid = _variations(chain, mid)
-            stack.append((lo, mid, v_lo, v_mid))
-            stack.append((mid, hi, v_mid, v_hi))
+            v_mid = _variations(chain, mid, den)
+            stack.append((2 * a, mid, depth, v_lo, v_mid))
+            stack.append((mid, 2 * b, depth, v_mid, v_hi))
         if hit is None:
-            return [(r, r) for r in exact] + intervals
+            return [(r, r) for r in exact] + intervals, f_ints
         exact.append(hit)
         f = f // Polynomial([-hit, 1])
 
@@ -315,8 +312,8 @@ def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInt
         raise ValueError("zero polynomial has no well-defined roots")
     found: list[tuple[Fraction, Fraction, int, tuple[int, ...]]] = []
     for factor, mult in squarefree_decomposition(p):
-        f_ints = _int_coeffs(factor)
-        for lo, hi in _isolate_squarefree(factor):
+        intervals, f_ints = _isolate_squarefree(factor)
+        for lo, hi in intervals:
             found.append((lo, hi, mult, f_ints))
     # roots of coprime factors are distinct; shrink any overlapping intervals
     changed = True

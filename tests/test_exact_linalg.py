@@ -18,6 +18,7 @@ from treetp import (
     submatrix,
     sylvester_rhs,
 )
+from treetp.exact_linalg import clear_denominators, faddeev_leverrier
 from treetp.fixtures import STAR4_EXAMPLE, STAR5_COUNTEREXAMPLE
 
 from conftest import laplace_det, oracle_minor, random_int_matrix, random_rational_matrix
@@ -161,6 +162,68 @@ class TestAdjugate:
         A = ExactMatrix([[1, 2], [2, 4]])
         assert det(A) == 0
         assert adjugate(A) == ExactMatrix([[4, -2], [-2, 1]])
+
+    @staticmethod
+    def _cofactor_adjugate(A: ExactMatrix) -> ExactMatrix:
+        # adj(A)[j][i] is the signed minor deleting row i and column j
+        n = A.n
+        idx = range(1, n + 1)
+        return ExactMatrix(
+            [
+                [
+                    (-1) ** (i + j)
+                    * minor(A, [r for r in idx if r != i], [c for c in idx if c != j])
+                    for i in idx
+                ]
+                for j in idx
+            ]
+        )
+
+    @staticmethod
+    def _with_rank(rng, n: int, rank: int) -> ExactMatrix:
+        # `rank` random rational rows, the rest random rational combinations
+        basis = random_rational_matrix(rng, n).rows[:rank]
+        rows = [list(r) for r in basis]
+        while len(rows) < n:
+            weights = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis]
+            rows.append([sum(w * r[k] for w, r in zip(weights, basis)) for k in range(n)])
+        rng.shuffle(rows)
+        return ExactMatrix(rows)
+
+    def test_matches_cofactor_oracle(self, rng):
+        for n in (2, 3, 4, 5, 6):
+            cases = [random_rational_matrix(rng, n), self._with_rank(rng, n, n - 1)]
+            if n >= 3:
+                cases.append(self._with_rank(rng, n, n - 2))
+            for A in cases:
+                assert adjugate(A) == self._cofactor_adjugate(A)
+
+    def test_rank_deficiency(self, rng):
+        for n in (3, 4, 5, 6):
+            low = self._with_rank(rng, n, n - 2)
+            assert adjugate(low) == ExactMatrix([[0] * n for _ in range(n)])
+            one_short = self._with_rank(rng, n, n - 1)
+            adj = adjugate(one_short)
+            assert det(one_short) == 0
+            assert any(x != 0 for row in adj.rows for x in row)
+            assert one_short * adj == ExactMatrix([[0] * n for _ in range(n)])
+
+
+class TestFaddeevLeVerrier:
+    def test_integer_pass_scales_back(self, rng):
+        for n in (2, 3, 4, 5):
+            A = random_rational_matrix(rng, n)
+            c, N, d = faddeev_leverrier(A)
+            assert all(isinstance(x, int) for x in c)
+            assert all(isinstance(x, int) for row in N for x in row)
+            assert all(x * d == int(x * d) for row in A.rows for x in row)
+            assert Fraction(c[0], d**n) == (-1) ** n * det(A)
+            assert c[n] == 1
+
+    def test_clear_denominators(self):
+        ints, d = clear_denominators([Fraction(1, 6), Fraction(-3, 4), Fraction(2)])
+        assert (ints, d) == ([2, -9, 24], 12)
+        assert clear_denominators([Fraction(5), Fraction(-7)]) == ([5, -7], 1)
 
 
 class TestSylvester:

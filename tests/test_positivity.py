@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from treetp import (
@@ -259,3 +262,83 @@ class TestPermutedMinorSigns:
     def test_adjoint_conclusion_on_generated_instances(self):
         for m in star4_instances(4, seed=556):
             assert check_adjoint_conclusion(m, make_star(4, 1)).ok
+
+
+def _initial_order(n: int):
+    # contiguous blocks anchored at the first row, then at the first column
+    for size in range(1, n + 1):
+        for j in range(1, n - size + 2):
+            yield tuple(range(1, size + 1)), tuple(range(j, j + size))
+        for i in range(2, n - size + 2):
+            yield tuple(range(i, i + size)), tuple(range(1, size + 1))
+
+
+def _principal_order(n: int):
+    for size in range(1, n + 1):
+        for idx in itertools.combinations(range(1, n + 1), size):
+            yield idx, idx
+
+
+def _reference(M: ExactMatrix, order):
+    """(first non-positive (rows, cols, value) or None, minors checked), via `minor`."""
+    checked = 0
+    for rows, cols in order:
+        checked += 1
+        value = minor(M, rows, cols)
+        if value <= 0:
+            return (rows, cols, value), checked
+    return None, checked
+
+
+def _observed(report):
+    w = report.witness
+    return (None if w is None else (tuple(w.rows), tuple(w.cols), w.value)), report.minors_checked
+
+
+def _near_tp_rational(rng, n: int) -> ExactMatrix:
+    """A rational TP matrix with one entry rescaled, so some minor may fail."""
+    rows = [list(r) for r in bidiagonal_tp(n, rng).rows]
+    i, j = rng.randrange(n), rng.randrange(n)
+    rows[i][j] *= Fraction(rng.randint(0, 30), 20)
+    return ExactMatrix(rows)
+
+
+class TestRationalRowWitnesses:
+    """Integer-row evaluation reports what a `minor` loop reports."""
+
+    def test_is_tp_initial_minors(self, rng):
+        deep_rational = 0
+        for _ in range(80):
+            n = rng.choice((2, 3, 4, 5))
+            A = _near_tp_rational(rng, n)
+            expected = _reference(A, _initial_order(n))
+            assert _observed(is_tp(A)) == expected
+            w = expected[0]
+            if w is not None and len(w[0]) > 1 and w[2].denominator > 1:
+                deep_rational += 1
+        assert deep_rational >= 5
+
+    def test_is_p_matrix(self, rng):
+        for _ in range(60):
+            n = rng.choice((2, 3, 4, 5))
+            A = _near_tp_rational(rng, n)
+            assert _observed(is_p_matrix(A)) == _reference(A, _principal_order(n))
+
+    def test_pendant_deletion_hypothesis(self, rng):
+        tree = make_star(5, 1)
+        failing = 0
+        for _ in range(30):
+            A = _near_tp_rational(rng, 5)
+            report = pendant_deletion_hypothesis(A, tree)
+            for check in report.ttp.per_path:
+                M = path_matrix(A, check.path)
+                assert _observed(check.report) == _reference(M, _initial_order(M.n))
+            for check in report.pendant_checks:
+                keep = [v for v in range(1, 6) if v != check.vertex]
+                witness, checked = _reference(submatrix(A, keep, keep), _principal_order(4))
+                if witness is not None:
+                    mapped = tuple(keep[i - 1] for i in witness[0])
+                    witness = (mapped, mapped, witness[2])
+                    failing += 1
+                assert _observed(check.report) == (witness, checked)
+        assert failing > 0

@@ -102,6 +102,18 @@ class TestCharPoly:
         A = random_int_matrix(rng, 4)
         assert char_poly(A).coeffs[-1] == 1
 
+    def test_matches_det_at_integer_points(self, rng):
+        # n + 1 points fix a polynomial of degree n
+        for n in (2, 3, 4, 5, 6):
+            for A in (random_rational_matrix(rng, n), random_int_matrix(rng, n)):
+                p = char_poly(A)
+                assert p.degree == n
+                for t in range(-1, n):
+                    shifted = ExactMatrix(
+                        [[(t if i == j else 0) - A.rows[i][j] for j in range(n)] for i in range(n)]
+                    )
+                    assert p(t) == det(shifted)
+
 
 class TestRealRoots:
     def test_two_simple_roots(self):
@@ -138,6 +150,42 @@ class TestRealRoots:
         (r,) = [x for x in roots if x.lo > 0]
         assert r.width() <= width
         assert abs(float(r.midpoint()) - math.sqrt(2)) < 1e-8
+
+    def test_integer_bisection_visits_the_same_rationals(self, rng):
+        def fraction_bisection(p, lo, hi, width):
+            s_lo = (p(lo) > 0) - (p(lo) < 0)
+            while hi - lo > width:
+                mid = (lo + hi) / 2
+                s = (p(mid) > 0) - (p(mid) < 0)
+                if s == 0:
+                    return mid, mid
+                if s == s_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo, hi
+
+        p = Polynomial([-2, 0, 3])  # roots +-sqrt(2/3)
+        ints = spectral._int_coeffs(p)
+        for lo, hi in [(Fraction(1, 3), Fraction(7, 5)), (Fraction(-9, 7), Fraction(-2, 3))]:
+            for width in (Fraction(1, 10), Fraction(1, 10**12), (hi - lo) / 4):
+                assert spectral._refine(ints, lo, hi, width) == fraction_bisection(p, lo, hi, width)
+        # an exact root at a midpoint ends the bisection on it
+        q = Polynomial([-1, 2])
+        assert spectral._refine(spectral._int_coeffs(q), Fraction(0), Fraction(1), Fraction(1, 8)) == (
+            Fraction(1, 2),
+            Fraction(1, 2),
+        )
+
+    def test_rational_root_at_a_bisection_midpoint(self):
+        # x^3 - 6x^2 - 4x: the root 0 is the first midpoint, and the
+        # deflated factor's intervals end at it
+        roots = real_roots(Polynomial([0, -4, -6, 1]), refine_to=spectral.ISOLATION_WIDTH)
+        assert [r.multiplicity for r in roots] == [1, 1, 1]
+        assert roots[1].is_exact() and roots[1].lo == 0
+        for r, expected in ((roots[0], 3 - math.sqrt(13)), (roots[2], 3 + math.sqrt(13))):
+            assert r.width() <= spectral.ISOLATION_WIDTH
+            assert r.lo < expected < r.hi or abs(float(r.lo) - expected) < 1e-9
 
     def test_disjoint_intervals(self, rng):
         for _ in range(10):
