@@ -31,7 +31,6 @@ from .tree_model import (
     tree_from_text,
     tree_signing,
     tree_to_text,
-    validate,
 )
 from .positivity import (
     AdjointCheck,
@@ -67,7 +66,6 @@ from .conjecture_lab import (
     gen_candidate,
     report_from_json,
     report_to_json,
-    search_counterexamples,
     sweep_trees,
     test_conjecture,
 )

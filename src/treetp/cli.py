@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .conjecture_lab import (
     GenConfig,
-    default_workers,
+    batch_verify,
     report_to_json,
-    search_counterexamples,
+    smallest_summary,
     test_conjecture,
 )
 from .exact_linalg import ExactMatrix, adjugate, matrix_from_text, matrix_to_text
@@ -145,13 +145,11 @@ def cmd_spectrum(args) -> int:
         if A.n != tree.n:
             raise CliError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
         summary = smallest_eig_vector(A, tree)
-        smallest = summary.smallest
-        spectrum = summary.full_spectrum
+        char_poly, smallest, spectrum = summary.char_poly, summary.smallest, summary.full_spectrum
     else:
         summary = None
         numeric = full_spectrum_numeric(A)
-        smallest = numeric.smallest
-        spectrum = numeric.values
+        char_poly, smallest, spectrum = numeric.char_poly, numeric.smallest, numeric.values
 
     def cnum(z: complex) -> str:
         if z.imag == 0:
@@ -161,15 +159,8 @@ def cmd_spectrum(args) -> int:
 
     if args.json:
         payload = {
-            "char_poly": [str(c) for c in (summary.char_poly.coeffs if summary else [])],
-            "smallest": {
-                "re": smallest.estimate.real,
-                "im": smallest.estimate.imag,
-                "is_real": smallest.is_real,
-                "is_simple": smallest.is_simple,
-                "ambiguous": smallest.ambiguous,
-                "modulus_margin": smallest.modulus_margin,
-            },
+            "char_poly": [str(c) for c in char_poly.coeffs],
+            "smallest": smallest_summary(smallest),
             "spectrum": [[z.real, z.imag] for z in spectrum],
         }
         if summary is not None:
@@ -232,26 +223,19 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_conjecture(args) -> int:
     tree = _load_tree(args.tree)
-    if args.max_attempts is not None:
-        max_attempts = args.max_attempts
-    else:
-        # an attempt is one hill-climb start in repair mode, one screened
-        # candidate otherwise
-        max_attempts = 1_000 if args.repair else 2_000_000
     try:
         cfg = GenConfig(
             tree=tree,
             entry_range=_parse_range(args.range),
             seed=args.seed,
-            max_attempts=max_attempts,
+            max_attempts=args.max_attempts,
             augmented=args.augmented,
             symmetric=args.symmetric,
             repair=args.repair,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    workers = args.workers if args.workers is not None else default_workers()
-    report = search_counterexamples(cfg, args.trials, keep=args.keep, workers=workers)
+    report = batch_verify(cfg, args.trials, keep=args.keep, workers=args.workers)
     if args.json:
         print(report_to_json(report))
     else:
@@ -411,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--repair", action="store_true", help="greedy single-entry repair phase")
     p.add_argument("--keep", type=int, default=5)
-    p.add_argument("--workers", type=int, default=None, help="default: $TREETP_WORKERS or 1")
+    p.add_argument("--workers", type=int, default=1, help="worker processes; reports are identical for any count")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_conjecture)
 
@@ -435,10 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ reproducible and the parallel and serial runs produce identical reports.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -37,15 +36,16 @@ class GenConfig:
     """Settings for candidate generation.
 
     ``max_attempts`` counts starting matrices: screened candidates in
-    rejection mode, hill-climb starts when ``repair`` is on.  Entries are
-    drawn uniformly from ``entry_range`` (inclusive); positivity of the
-    target class forces lo >= 1.
+    rejection mode, hill-climb starts when ``repair`` is on.  Left as
+    None it becomes 1,000 starts with ``repair`` and 2,000,000 candidates
+    without.  Entries are drawn uniformly from ``entry_range``
+    (inclusive); positivity of the target class forces lo >= 1.
     """
 
     tree: LabelledTree
     entry_range: tuple[int, int] = (1, 150)
     seed: int = 0
-    max_attempts: int = 2_000_000
+    max_attempts: int | None = None
     augmented: bool = False
     symmetric: bool = False
     repair: bool = False
@@ -57,6 +57,8 @@ class GenConfig:
             raise ValueError("entry range must start at 1 or above")
         if hi < lo:
             raise ValueError("empty entry range")
+        if self.max_attempts is None:
+            object.__setattr__(self, "max_attempts", 1_000 if self.repair else 2_000_000)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
 
@@ -155,9 +157,15 @@ def gen_candidate(cfg: GenConfig) -> ExactMatrix | None:
 class ConjectureVerdict:
     hypothesis: HypothesisReport
     adjoint: AdjointCheck
-    smallest: SmallestEigen
-    eigenvector_signed: bool | None
     summary: SpectralSummary
+
+    @property
+    def smallest(self) -> SmallestEigen:
+        return self.summary.smallest
+
+    @property
+    def eigenvector_signed(self) -> bool | None:
+        return self.summary.signed_ok
 
     @property
     def conclusion_ok(self) -> bool:
@@ -180,13 +188,19 @@ def test_conjecture(A: ExactMatrix, tree: LabelledTree, augmented: bool = False)
     hypothesis = _hypothesis_reports(A, tree, augmented)
     adjoint = check_adjoint_conclusion(A, tree)
     summary = smallest_eig_vector(A, tree, adjoint_check=adjoint)
-    return ConjectureVerdict(
-        hypothesis=hypothesis,
-        adjoint=adjoint,
-        smallest=summary.smallest,
-        eigenvector_signed=summary.signed_ok,
-        summary=summary,
-    )
+    return ConjectureVerdict(hypothesis=hypothesis, adjoint=adjoint, summary=summary)
+
+
+def smallest_summary(s: SmallestEigen) -> dict:
+    """JSON-safe digest of a minimum-modulus eigenvalue classification."""
+    return {
+        "re": s.estimate.real,
+        "im": s.estimate.imag,
+        "is_real": s.is_real,
+        "is_simple": s.is_simple,
+        "ambiguous": s.ambiguous,
+        "modulus_margin": s.modulus_margin,
+    }
 
 
 def verdict_summary(v: ConjectureVerdict) -> dict:
@@ -200,14 +214,7 @@ def verdict_summary(v: ConjectureVerdict) -> dict:
         ],
         "adjoint_ok": v.adjoint.ok,
         "adjoint_mismatches": [list(m) for m in v.adjoint.mismatches],
-        "smallest": {
-            "re": v.smallest.estimate.real,
-            "im": v.smallest.estimate.imag,
-            "is_real": v.smallest.is_real,
-            "is_simple": v.smallest.is_simple,
-            "ambiguous": v.smallest.ambiguous,
-            "modulus_margin": v.smallest.modulus_margin,
-        },
+        "smallest": smallest_summary(v.smallest),
         "eigenvector_signed": v.eigenvector_signed,
         "counterexample": v.is_counterexample,
     }
@@ -221,18 +228,28 @@ class Exemplar:
 
 @dataclass(frozen=True)
 class BatchReport:
+    """Counts of one batch: `generated` of `trials` slots found a matrix.
+
+    Every generated matrix meets the hypothesis (the generator re-checks
+    it exactly), so the hypothesis and conclusion counts follow from
+    `generated` and `counterexamples`.
+    """
+
     trials: int
     generated: int
-    hypothesis_pass: int
-    conclusion_pass: int
     counterexamples: int
     exemplars: tuple[Exemplar, ...]
     seed: int
     config: dict
 
-    def __post_init__(self):
-        if self.conclusion_pass + self.counterexamples != self.hypothesis_pass:
-            raise ValueError("inconsistent counts in batch report")
+    @property
+    def hypothesis_pass(self) -> int:
+        """Deprecated: always equals `generated`."""
+        return self.generated
+
+    @property
+    def conclusion_pass(self) -> int:
+        return self.generated - self.counterexamples
 
 
 def _config_echo(cfg: GenConfig) -> dict:
@@ -249,18 +266,12 @@ def _config_echo(cfg: GenConfig) -> dict:
     }
 
 
-def _run_slot(cfg: GenConfig, compiled, slot: int, lane: int) -> dict | None:
+def _run_slot(cfg: GenConfig, compiled, slot: int, lane: int) -> tuple[ExactMatrix, dict] | None:
+    """(matrix, verdict_summary) for one slot, or None when it exhausts."""
     matrix, _ = _generate_slot(cfg, slot, lane, compiled)
     if matrix is None:
         return None
-    verdict = test_conjecture(matrix, cfg.tree, cfg.augmented)
-    return {
-        "matrix": matrix,
-        "hypothesis": verdict.hypothesis.holds,
-        "conclusion": verdict.conclusion_ok,
-        "counterexample": verdict.is_counterexample,
-        "verdict": verdict_summary(verdict),
-    }
+    return matrix, verdict_summary(test_conjecture(matrix, cfg.tree, cfg.augmented))
 
 
 def _worker(args) -> list:
@@ -268,27 +279,20 @@ def _worker(args) -> list:
     return [_run_slot(cfg, compiled, s, lane) for s in slots]
 
 
-def default_workers() -> int:
-    value = os.environ.get("TREETP_WORKERS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def batch_verify(
     cfg: GenConfig,
     trials: int,
     keep: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
     _lane: int = 0,
 ) -> BatchReport:
     """Generate up to `trials` hypothesis-satisfying matrices and test each.
 
-    Candidate slot i always uses the same seed stream, so reports are
-    identical for any worker count.
+    Up to `keep` counterexamples are stored with their verdicts.  Candidate
+    slot i always uses the same seed stream, so reports are identical for
+    any worker count.
     """
-    workers = default_workers() if workers is None else max(1, workers)
+    workers = max(1, workers)
     slots = list(range(trials))
     compiled = _compile(cfg)
     if workers == 1 or trials <= 1:
@@ -301,25 +305,20 @@ def batch_verify(
         for w, chunk in enumerate(chunks):
             for s, r in zip(chunk[2], per_worker[w]):
                 results[s] = r
-    generated = hypothesis_pass = conclusion_pass = counterexamples = 0
+    generated = counterexamples = 0
     exemplars = []
     for r in results:
         if r is None:
             continue
         generated += 1
-        if r["hypothesis"]:
-            hypothesis_pass += 1
-            if r["counterexample"]:
-                counterexamples += 1
-                if len(exemplars) < keep:
-                    exemplars.append(Exemplar(r["matrix"], r["verdict"]))
-            else:
-                conclusion_pass += 1
+        matrix, verdict = r
+        if verdict["counterexample"]:
+            counterexamples += 1
+            if len(exemplars) < keep:
+                exemplars.append(Exemplar(matrix, verdict))
     return BatchReport(
         trials=trials,
         generated=generated,
-        hypothesis_pass=hypothesis_pass,
-        conclusion_pass=conclusion_pass,
         counterexamples=counterexamples,
         exemplars=tuple(exemplars),
         seed=cfg.seed,
@@ -327,19 +326,12 @@ def batch_verify(
     )
 
 
-def search_counterexamples(
-    cfg: GenConfig, trials: int, keep: int = 5, workers: int | None = None
-) -> BatchReport:
-    """batch_verify that stores up to `keep` counterexamples with verdicts."""
-    return batch_verify(cfg, trials, keep=keep, workers=workers)
-
-
 def sweep_trees(
     n: int,
     cfg_template: GenConfig,
     trials_per_tree: int,
     keep: int = 1,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[tuple[LabelledTree, BatchReport]]:
     """Run the search over every labelled tree on n vertices."""
     if not (2 <= n <= 7):
@@ -353,7 +345,7 @@ def sweep_trees(
 
 # --- report serialization -------------------------------------------------
 
-def report_to_json(report: BatchReport, indent: int | None = 2) -> str:
+def report_to_json(report: BatchReport) -> str:
     payload = {
         "trials": report.trials,
         "generated": report.generated,
@@ -366,21 +358,24 @@ def report_to_json(report: BatchReport, indent: int | None = 2) -> str:
             {"matrix": matrix_to_text(e.matrix), "verdict": e.verdict} for e in report.exemplars
         ],
     }
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, indent=2)
 
 
 def report_from_json(text: str) -> BatchReport:
+    """Parse `report_to_json` output; reject counts the report cannot have."""
     data = json.loads(text)
     exemplars = tuple(
         Exemplar(matrix_from_text(e["matrix"]), e["verdict"]) for e in data["exemplars"]
     )
-    return BatchReport(
+    report = BatchReport(
         trials=data["trials"],
         generated=data["generated"],
-        hypothesis_pass=data["hypothesis_pass"],
-        conclusion_pass=data["conclusion_pass"],
         counterexamples=data["counterexamples"],
         exemplars=exemplars,
         seed=data["seed"],
         config=data["config"],
     )
+    derived = (report.hypothesis_pass, report.conclusion_pass)
+    if (data["hypothesis_pass"], data["conclusion_pass"]) != derived:
+        raise ValueError("inconsistent counts in batch report")
+    return report

@@ -30,6 +30,9 @@ from .positivity import AdjointCheck, check_adjoint_conclusion
 
 MODULUS_MARGIN_RTOL = 1e-9
 ISOLATION_WIDTH = Fraction(1, 10**12)
+RESIDUAL_TOL = 1e-9  # scaled residual under which the numeric spectrum counts as converged
+PERRON_RTOL = 1e-12
+PERRON_MAX_ITER = 100_000
 
 
 class Polynomial:
@@ -481,7 +484,7 @@ class SpectrumEstimate:
     smallest: SmallestEigen
 
 
-def full_spectrum_numeric(A: ExactMatrix, tol: float = 1e-9) -> SpectrumEstimate:
+def full_spectrum_numeric(A: ExactMatrix) -> SpectrumEstimate:
     """All n eigenvalue estimates from the exact characteristic polynomial.
 
     Deterministic simultaneous iteration; complex estimates are forced
@@ -491,7 +494,7 @@ def full_spectrum_numeric(A: ExactMatrix, tol: float = 1e-9) -> SpectrumEstimate
     """
     p = char_poly(A)
     roots = tuple(real_roots(p, refine_to=ISOLATION_WIDTH))
-    values, converged, residual = _roots_durand_kerner(p, tol)
+    values, converged, residual = _roots_durand_kerner(p, RESIDUAL_TOL)
     paired = _pair_conjugates(values, sum(r.multiplicity for r in roots))
     paired.sort(key=lambda z: (z.real, z.imag))
     return SpectrumEstimate(
@@ -504,32 +507,25 @@ def smallest_eigenvalue(A: ExactMatrix) -> SmallestEigen:
     return full_spectrum_numeric(A).smallest
 
 
-def perron_vector(M, tol: float = 1e-12, max_iter: int = 100_000) -> tuple[float, np.ndarray]:
+def perron_vector(M: ExactMatrix) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and positive eigenvector of a positive matrix.
 
-    Power iteration with Collatz-Wielandt bracketing; the returned vector
-    has unit max entry.
+    Power iteration with Collatz-Wielandt bracketing, stopped when the
+    bracket is within PERRON_RTOL; the returned vector has unit max entry.
     """
-    if isinstance(M, ExactMatrix):
-        if any(x <= 0 for row in M.rows for x in row):
-            raise ValueError("matrix must be entrywise positive")
-        mat = np.array(M.to_float_rows(), dtype=float)
-    else:
-        mat = np.asarray(M, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("matrix must be square")
-        if not (mat > 0).all():
-            raise ValueError("matrix must be entrywise positive")
+    if any(x <= 0 for row in M.rows for x in row):
+        raise ValueError("matrix must be entrywise positive")
+    mat = np.array(M.to_float_rows(), dtype=float)
     n = mat.shape[0]
     v = np.ones(n)
     value = float(mat.sum() / n)
-    for _ in range(max_iter):
+    for _ in range(PERRON_MAX_ITER):
         w = mat @ v
         ratios = w / v
         lo, hi = float(ratios.min()), float(ratios.max())
         value = (lo + hi) / 2
         v = w / w.max()
-        if hi - lo <= tol * hi:
+        if hi - lo <= PERRON_RTOL * hi:
             break
     return value, v
 
@@ -632,13 +628,8 @@ def smallest_eig_vector(
             lam = float(d) / rho
             route = "adjugate-perron"
         else:
-            col = next(
-                (j for j in range(1, A.n + 1) if any(x != 0 for x in check.adjugate.column(j))),
-                None,
-            )
-            if col is None:
-                raise ArithmeticError("adjugate is identically zero: rank < n-1")
-            exact_vector = list(check.adjugate.column(col))
+            # check.ok matched every entry against a +-1 pattern, so none is 0
+            exact_vector = list(check.adjugate.column(1))
             vector = np.array([float(x) for x in exact_vector])
             lam = 0.0
             route = "adjugate-column"

@@ -82,11 +82,6 @@ class LabelledTree:
         return f"LabelledTree(n={self.n}, edges=[{body}])"
 
 
-def validate(n: int, edges: Iterable[tuple[int, int]]) -> LabelledTree:
-    """Build a LabelledTree, raising ValueError on any defect."""
-    return LabelledTree(n, edges)
-
-
 @dataclass(frozen=True)
 class TreePath:
     """Induced path, stored in canonical orientation (smaller endpoint first)."""

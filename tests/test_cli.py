@@ -111,6 +111,16 @@ class TestSpectrum:
         assert code == 0
         assert "smallest eigenvalue" in out
 
+    def test_json_without_tree_reports_char_poly(self, capsys):
+        _, with_tree, _ = run(
+            capsys, "spectrum", "fixture:star4-example", "--tree", "star:4", "--json"
+        )
+        code, out, _ = run(capsys, "spectrum", "fixture:star4-example", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["char_poly"]) == 5
+        assert data["char_poly"] == json.loads(with_tree)["char_poly"]
+
     def test_precision_flag(self, capsys):
         code, out, _ = run(
             capsys, "spectrum", "fixture:star4-example", "--tree", "star:4", "--precision", "4"
@@ -159,6 +169,13 @@ class TestConjecture:
 
         report = report_from_json(out)
         assert report.trials == 2
+
+    def test_repair_attempt_default(self, capsys):
+        code, out, _ = run(
+            capsys, "conjecture", "--tree", "star:4", "--repair", "--trials", "1", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["max_attempts"] == 1000
 
     def test_bad_range_exit_2(self, capsys):
         code, _, err = run(

@@ -12,7 +12,6 @@ from treetp import (
     pendant_deletion_hypothesis,
     report_from_json,
     report_to_json,
-    search_counterexamples,
     sweep_trees,
     test_conjecture as run_conjecture,
 )
@@ -35,6 +34,11 @@ class TestGenConfig:
     def test_rejects_zero_attempts(self):
         with pytest.raises(ValueError):
             GenConfig(tree=make_star(4, 1), max_attempts=0)
+
+    def test_attempt_defaults(self):
+        assert GenConfig(tree=make_star(4, 1), repair=True).max_attempts == 1000
+        assert GenConfig(tree=make_star(4, 1)).max_attempts == 2_000_000
+        assert GenConfig(tree=make_star(4, 1), repair=True, max_attempts=7).max_attempts == 7
 
 
 class TestGenCandidate:
@@ -139,7 +143,7 @@ class TestBatchVerify:
             tree=make_star(5, 1), entry_range=(1, 150), seed=44, repair=True,
             max_attempts=30,
         )
-        report = search_counterexamples(cfg, 25, keep=3)
+        report = batch_verify(cfg, 25, keep=3)
         assert report.generated == 25
         assert report.counterexamples > 0
         assert 0 < len(report.exemplars) <= 3
@@ -149,7 +153,7 @@ class TestBatchVerify:
             tree=make_star(5, 1), entry_range=(1, 150), seed=44, repair=True,
             max_attempts=30,
         )
-        report = search_counterexamples(cfg, 20, keep=2)
+        report = batch_verify(cfg, 20, keep=2)
         for ex in report.exemplars:
             v = run_conjecture(ex.matrix, cfg.tree, cfg.augmented)
             assert v.is_counterexample
@@ -176,7 +180,7 @@ class TestBatchVerify:
             tree=make_pitchfork(), entry_range=(1, 150), seed=31, symmetric=True,
             repair=True, max_attempts=25,
         )
-        report = search_counterexamples(cfg, 5, keep=5)
+        report = batch_verify(cfg, 5, keep=5)
         assert report.generated == 5
         for ex in report.exemplars:
             assert ex.verdict["smallest"]["is_real"] is True
@@ -196,7 +200,7 @@ class TestReportSerialization:
             tree=make_star(5, 1), entry_range=(1, 150), seed=44, repair=True,
             max_attempts=30,
         )
-        report = search_counterexamples(cfg, 10, keep=2)
+        report = batch_verify(cfg, 10, keep=2)
         text = report_to_json(report)
         again = report_from_json(text)
         assert again == report
@@ -210,6 +214,21 @@ class TestReportSerialization:
             "counterexamples", "seed", "config", "exemplars",
         }
         assert data["config"]["tree_edges"] == [[1, 2], [1, 3], [1, 4]]
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"hypothesis_pass": 1, "conclusion_pass": 1},  # hypothesis_pass != generated
+            {"hypothesis_pass": 2, "conclusion_pass": 1},  # conclusion_pass != generated - 0
+        ],
+    )
+    def test_rejects_counts_that_disagree(self, counts):
+        cfg = GenConfig(tree=make_star(4, 1), entry_range=(1, 150), seed=2)
+        data = json.loads(report_to_json(batch_verify(cfg, 2)))
+        assert (data["generated"], data["counterexamples"]) == (2, 0)
+        data.update(counts)
+        with pytest.raises(ValueError):
+            report_from_json(json.dumps(data))
 
 
 class TestSweep:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from treetp import (
     IndexList,
+    LabelledTree,
     SignVector,
     enumerate_labelled_trees,
     is_signed_according_to,
@@ -18,7 +19,6 @@ from treetp import (
     tree_from_text,
     tree_signing,
     tree_to_text,
-    validate,
 )
 from treetp.fixtures import (
     PITCHFORK_COUNTEREXAMPLE,
@@ -33,7 +33,7 @@ def brute_force_trees(n: int) -> set[frozenset]:
     found = set()
     for subset in itertools.combinations(all_edges, n - 1):
         try:
-            validate(n, subset)
+            LabelledTree(n, subset)
         except ValueError:
             continue
         found.add(frozenset(subset))
@@ -43,28 +43,28 @@ def brute_force_trees(n: int) -> set[frozenset]:
 class TestValidate:
     def test_wrong_edge_count(self):
         with pytest.raises(ValueError):
-            validate(3, [(1, 2)])
+            LabelledTree(3, [(1, 2)])
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
-            validate(4, [(1, 2), (2, 3), (3, 1)])
+            LabelledTree(4, [(1, 2), (2, 3), (3, 1)])
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
-            validate(4, [(1, 2), (3, 4), (1, 2)])
+            LabelledTree(4, [(1, 2), (3, 4), (1, 2)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
-            validate(2, [(1, 1)])
+            LabelledTree(2, [(1, 1)])
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError):
-            validate(2, [(1, 3)])
+            LabelledTree(2, [(1, 3)])
 
     def test_accepts_duplicate_edge_listing(self):
         # {u,v} equals {v,u}; but the deduplicated count must still be n-1
         with pytest.raises(ValueError):
-            validate(3, [(1, 2), (2, 1)])
+            LabelledTree(3, [(1, 2), (2, 1)])
 
 
 class TestPendants:
@@ -202,7 +202,7 @@ class TestEnumeration:
 
     def test_all_emitted_trees_validate(self):
         for t in enumerate_labelled_trees(5):
-            validate(t.n, t.edges)
+            LabelledTree(t.n, t.edges)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
