@@ -8,11 +8,13 @@ of every pendant-deleted block.  ``minor_plan`` lists them once, and
 which never overflow, so one code path serves every entry range.
 
 Greedy repair drives that count to zero.  ``repair_plan`` compiles the
-plan into its distinct minors, their multiplicities and, per entry, the
-minors that contain it; ``repair_start`` keeps one failing bit per distinct
-minor, and ``repair_chunk`` re-evaluates only the minors a proposal
-touches: the failing ones first, then the passing ones, rejecting exactly
-as soon as the weighted count would rise.  A proposal is kept iff the
+plan into its distinct minors, each bound once to its evaluator (a
+closed form up to 5x5, so the repair loop neither dispatches on size nor
+runs Bareiss), their multiplicities and, per entry, the minors that
+contain it; ``repair_start`` keeps one failing bit per distinct minor, and
+``repair_chunk`` re-evaluates only the minors a proposal touches: the
+failing ones first, then the passing ones, rejecting exactly as soon as
+the weighted count would rise.  A proposal is kept iff the
 count does not rise, the same rule as a full recount.  Rejection
 sampling takes the first candidate of a batch with no violation
 (``screen_batch_vectorized``), after an int64 numpy prefilter of the minors
@@ -24,11 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .exact_linalg import minor_value
+from .exact_linalg import minor_evaluator, minor_value
 from .positivity import _initial_minor_lists
 from .tree_model import LabelledTree, maximal_paths, pendant_vertices
 
@@ -77,14 +80,17 @@ def hypothesis_violations(a: list[list[int]], plan: tuple[Minor, ...]) -> int:
 class RepairPlan:
     """A minor plan compiled for incremental repair.
 
-    ``minors`` are the distinct minors of the plan in first-seen order and
-    ``weights`` how often the plan lists each, so a weighted count of the
-    failing ones equals ``hypothesis_violations``.  ``touched[i][j]`` holds
-    the ids of the minors that contain entry (i, j), and also those that
-    contain (j, i) when proposals are ``symmetric``.
+    ``minors`` are the distinct minors of the plan in first-seen order,
+    ``evaluators`` the ``minor_evaluator`` of each, bound once per plan
+    (closed forms through 5x5, Bareiss only from 6x6 up), and ``weights``
+    how often the plan lists each, so a weighted count of the failing ones
+    equals ``hypothesis_violations``.  ``touched[i][j]`` holds the ids of
+    the minors that contain entry (i, j), and also those that contain
+    (j, i) when proposals are ``symmetric``.
     """
 
     minors: tuple[Minor, ...]
+    evaluators: tuple[Callable[[list[list[int]]], int], ...] = field(repr=False, compare=False)
     weights: tuple[int, ...]
     touched: tuple[tuple[tuple[int, ...], ...], ...]
     symmetric: bool
@@ -103,6 +109,7 @@ def repair_plan(plan: tuple[Minor, ...], n: int, symmetric: bool) -> RepairPlan:
                     cells[c][r].add(m)
     return RepairPlan(
         minors=minors,
+        evaluators=tuple(minor_evaluator(rows, cols) for rows, cols in minors),
         weights=tuple(weight[m] for m in minors),
         touched=tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells),
         symmetric=symmetric,
@@ -115,7 +122,7 @@ def repair_start(a: list[list[int]], rplan: RepairPlan) -> tuple[int, list[bool]
     The count is the weighted sum of the bits, which equals
     ``hypothesis_violations(a, plan)``.
     """
-    bad = [minor_value(a, rows, cols) <= 0 for rows, cols in rplan.minors]
+    bad = [evaluate(a) <= 0 for evaluate in rplan.evaluators]
     return sum(w for w, b in zip(rplan.weights, bad) if b), bad
 
 
@@ -131,7 +138,7 @@ def repair_chunk(
     passing ones, rejecting as soon as the count would rise.  Stops once the
     count reaches zero; returns (count, proposals used).
     """
-    minors, weights, touched = rplan.minors, rplan.weights, rplan.touched
+    evaluators, weights, touched = rplan.evaluators, rplan.weights, rplan.touched
     symmetric = rplan.symmetric
     for t, (i, j, v) in enumerate(zip(pos_i.tolist(), pos_j.tolist(), vals.tolist())):
         if current == 0:
@@ -146,19 +153,15 @@ def repair_chunk(
         delta = 0
         flips = []
         for m in ids:
-            if bad[m]:
-                rows, cols = minors[m]
-                if minor_value(a, rows, cols) > 0:
-                    delta -= weights[m]
-                    flips.append(m)
+            if bad[m] and evaluators[m](a) > 0:
+                delta -= weights[m]
+                flips.append(m)
         for m in ids:
-            if not bad[m]:
-                rows, cols = minors[m]
-                if minor_value(a, rows, cols) <= 0:
-                    delta += weights[m]
-                    if delta > 0:
-                        break
-                    flips.append(m)
+            if not bad[m] and evaluators[m](a) <= 0:
+                delta += weights[m]
+                if delta > 0:
+                    break
+                flips.append(m)
         if delta <= 0:
             current += delta
             for m in flips:

@@ -290,8 +290,10 @@ def batch_verify(
 
     Up to `keep` counterexamples are stored with their verdicts.  Candidate
     slot i always uses the same seed stream, so reports are identical for
-    any worker count.
+    any worker count.  A negative `trials` raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be 0 or more, got {trials}")
     workers = max(1, workers)
     slots = list(range(trials))
     compiled = _compile(cfg)

@@ -2,17 +2,22 @@
 
 Everything here is exact; no operation ever rounds.  The work runs on
 Python integers: ``clear_denominators`` scales rationals to integers, so
-determinants are fraction-free Bareiss eliminations on integer rows, and
-``faddeev_leverrier`` is one integer pass on A = B/d that gives the
-characteristic polynomial's coefficients and, by Cayley-Hamilton, the
-adjugate (singular matrices included).  Minors are taken over *ordered*
-index lists, so permuting a list flips the sign of the corresponding minor.
+``det`` and ``minor`` are fraction-free Bareiss eliminations on integer
+rows, and ``faddeev_leverrier`` is one integer pass on A = B/d that gives
+the characteristic polynomial's coefficients and, by Cayley-Hamilton, the
+adjugate (singular matrices included).  ``minor_value`` evaluates minors
+of an integer matrix up to 5x5 in straight-line closed forms and runs
+Bareiss only from 6x6 up; ``minor_evaluator`` binds one minor to its form
+once, and ``det`` stays the independent reference for both.  Minors are
+taken over *ordered* index lists, so permuting a list flips the sign of
+the corresponding minor.
 """
 from __future__ import annotations
 
 import math
 import operator
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -221,29 +226,122 @@ def _det_int(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+# Closed-form minors.  Each takes (rows, cols, a) so that
+# ``functools.partial`` can bind a minor's index lists once and leave a
+# callable of the matrix alone (``minor_evaluator``).
+
+def _det1(rows, cols, a):
+    return a[rows[0]][cols[0]]
+
+
+def _det2(rows, cols, a):
+    i0, i1 = rows
+    c0, c1 = cols
+    r0, r1 = a[i0], a[i1]
+    return r0[c0] * r1[c1] - r0[c1] * r1[c0]
+
+
+def _det3(rows, cols, a):
+    i0, i1, i2 = rows
+    c0, c1, c2 = cols
+    r0, r1, r2 = a[i0], a[i1], a[i2]
+    return (
+        r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
+        - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
+        + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0])
+    )
+
+
+def _det4(rows, cols, a):
+    """Laplace expansion along rows 0-1: each of their six 2x2 minors
+    times its complementary 2x2 minor in rows 2-3."""
+    i0, i1, i2, i3 = rows
+    c0, c1, c2, c3 = cols
+    r0, r1, r2, r3 = a[i0], a[i1], a[i2], a[i3]
+    x0, x1, x2, x3 = r0[c0], r0[c1], r0[c2], r0[c3]
+    y0, y1, y2, y3 = r1[c0], r1[c1], r1[c2], r1[c3]
+    z0, z1, z2, z3 = r2[c0], r2[c1], r2[c2], r2[c3]
+    w0, w1, w2, w3 = r3[c0], r3[c1], r3[c2], r3[c3]
+    return (
+        (x0 * y1 - x1 * y0) * (z2 * w3 - z3 * w2)
+        - (x0 * y2 - x2 * y0) * (z1 * w3 - z3 * w1)
+        + (x0 * y3 - x3 * y0) * (z1 * w2 - z2 * w1)
+        + (x1 * y2 - x2 * y1) * (z0 * w3 - z3 * w0)
+        - (x1 * y3 - x3 * y1) * (z0 * w2 - z2 * w0)
+        + (x2 * y3 - x3 * y2) * (z0 * w1 - z1 * w0)
+    )
+
+
+def _det5(rows, cols, a):
+    """The ten 2x2 minors t of rows 3-4, the ten 3x3 minors u of rows 2-4
+    expanded from them along row 2, then a Laplace expansion along rows
+    0-1 against the u; names carry the column positions."""
+    i0, i1, i2, i3, i4 = rows
+    c0, c1, c2, c3, c4 = cols
+    r0, r1, r2, r3, r4 = a[i0], a[i1], a[i2], a[i3], a[i4]
+    v0, v1, v2, v3, v4 = r3[c0], r3[c1], r3[c2], r3[c3], r3[c4]
+    w0, w1, w2, w3, w4 = r4[c0], r4[c1], r4[c2], r4[c3], r4[c4]
+    t01 = v0 * w1 - v1 * w0
+    t02 = v0 * w2 - v2 * w0
+    t03 = v0 * w3 - v3 * w0
+    t04 = v0 * w4 - v4 * w0
+    t12 = v1 * w2 - v2 * w1
+    t13 = v1 * w3 - v3 * w1
+    t14 = v1 * w4 - v4 * w1
+    t23 = v2 * w3 - v3 * w2
+    t24 = v2 * w4 - v4 * w2
+    t34 = v3 * w4 - v4 * w3
+    z0, z1, z2, z3, z4 = r2[c0], r2[c1], r2[c2], r2[c3], r2[c4]
+    u012 = z0 * t12 - z1 * t02 + z2 * t01
+    u013 = z0 * t13 - z1 * t03 + z3 * t01
+    u014 = z0 * t14 - z1 * t04 + z4 * t01
+    u023 = z0 * t23 - z2 * t03 + z3 * t02
+    u024 = z0 * t24 - z2 * t04 + z4 * t02
+    u034 = z0 * t34 - z3 * t04 + z4 * t03
+    u123 = z1 * t23 - z2 * t13 + z3 * t12
+    u124 = z1 * t24 - z2 * t14 + z4 * t12
+    u134 = z1 * t34 - z3 * t14 + z4 * t13
+    u234 = z2 * t34 - z3 * t24 + z4 * t23
+    x0, x1, x2, x3, x4 = r0[c0], r0[c1], r0[c2], r0[c3], r0[c4]
+    y0, y1, y2, y3, y4 = r1[c0], r1[c1], r1[c2], r1[c3], r1[c4]
+    return (
+        (x0 * y1 - x1 * y0) * u234
+        - (x0 * y2 - x2 * y0) * u134
+        + (x0 * y3 - x3 * y0) * u124
+        - (x0 * y4 - x4 * y0) * u123
+        + (x1 * y2 - x2 * y1) * u034
+        - (x1 * y3 - x3 * y1) * u024
+        + (x1 * y4 - x4 * y1) * u023
+        + (x2 * y3 - x3 * y2) * u014
+        - (x2 * y4 - x4 * y2) * u013
+        + (x3 * y4 - x4 * y3) * u012
+    )
+
+
+def _det_bareiss(rows, cols, a):
+    return _det_int([[a[r][c] for c in cols] for r in rows])
+
+
+_CLOSED_FORMS = {1: _det1, 2: _det2, 3: _det3, 4: _det4, 5: _det5}
+
+
 def minor_value(a, rows, cols):
     """Exact det a[rows; cols] for 0-based index lists, reading entries as a[r][c].
 
-    `a` is a matrix as nested lists of ints.  For minors of size <= 3 it
-    may also be an (n, n, B) int64 array, which gives the minors of a
-    whole batch at once.
+    `a` is a matrix as nested lists of ints.  Minors of size <= 5 are
+    straight-line closed forms on Python ints; Bareiss runs only from 6x6
+    up.  For minors of size <= 3, `a` may also be an (n, n, B) int64
+    array, which gives the minors of a whole batch at once.
     """
-    k = len(rows)
-    if k == 1:
-        return a[rows[0]][cols[0]]
-    if k == 2:
-        r0, r1 = a[rows[0]], a[rows[1]]
-        c0, c1 = cols
-        return r0[c0] * r1[c1] - r0[c1] * r1[c0]
-    if k == 3:
-        r0, r1, r2 = a[rows[0]], a[rows[1]], a[rows[2]]
-        c0, c1, c2 = cols
-        return (
-            r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
-            - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
-            + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0])
-        )
-    return _det_int([[a[r][c] for c in cols] for r in rows])
+    return _CLOSED_FORMS.get(len(rows), _det_bareiss)(rows, cols, a)
+
+
+def minor_evaluator(rows, cols):
+    """``minor_value`` with its index lists bound: a picklable callable of `a`.
+
+    The size dispatch happens here, once, instead of on every evaluation.
+    """
+    return partial(_CLOSED_FORMS.get(len(rows), _det_bareiss), tuple(rows), tuple(cols))
 
 
 def det(A: ExactMatrix) -> Fraction:

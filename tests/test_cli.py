@@ -183,6 +183,14 @@ class TestConjecture:
         )
         assert code == 2
 
+    def test_negative_trials_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "conjecture", "--tree", "star:3", "--trials", "-2", "--json"
+        )
+        assert code == 2
+        assert out == ""
+        assert "trials" in err
+
 
 class TestReproduce:
     @pytest.mark.parametrize(

@@ -185,6 +185,12 @@ class TestBatchVerify:
         for ex in report.exemplars:
             assert ex.verdict["smallest"]["is_real"] is True
 
+    def test_rejects_negative_trials(self):
+        cfg = GenConfig(tree=make_star(3, 1), seed=1)
+        with pytest.raises(ValueError, match="trials"):
+            batch_verify(cfg, -2)
+        assert batch_verify(cfg, 0).generated == 0
+
     def test_count_invariant(self):
         cfg = GenConfig(
             tree=make_star(5, 1), entry_range=(1, 150), seed=60, repair=True,

@@ -4,7 +4,9 @@ Each case pins the matrix and the attempt count that `_generate_slot`
 returns for one (tree, seed, slot, mode).  Any change to sampling order,
 the screening objective or the repair accept/reject rule shows up here.
 The two cases with entries up to 2**21 exceed the int64 guard for 3x3
-minors, so they pin the exact arithmetic beyond it.
+minors, so they pin the exact arithmetic beyond it; the two repair cases
+with entries up to 2**40 do the same for the 4x4 and 5x5 closed forms,
+whose products exceed int64 by far.
 """
 import pytest
 
@@ -55,6 +57,31 @@ GOLDEN = {
         dict(tree=parse_tree_spec("star:3:2"), seed=5, entry_range=(1, 2**21)),
         "571836 1961888 299750\n169822 658204 1011036\n178222 722614 1742487\n",
         40,
+    ),
+    "star6-aug-repair-big": (
+        dict(
+            tree=make_star(6, 1), seed=61, entry_range=(1, 2**40), augmented=True, repair=True,
+            max_attempts=50,
+        ),
+        "608490594866 393894123906 1061722178410 724159214615 959823872044 720369643860\n"
+        "790463954206 822627348663 1004343223910 820201318341 768063811958 51315209391\n"
+        "99016072939 10374072482 999693610191 67328786032 87561448208 65286902269\n"
+        "620971586766 240498117844 541705136200 1093557816357 288566984555 698630852901\n"
+        "239394409708 96297572010 370291939857 270591035108 927910412676 267907930760\n"
+        "391955516428 246474871124 563012112863 392500058951 477852775774 927766732451\n",
+        1,
+    ),
+    "pitchfork-sym-repair-big": (
+        dict(
+            tree=make_pitchfork(), seed=31, entry_range=(1, 2**40), symmetric=True, repair=True,
+            max_attempts=25,
+        ),
+        "1071807555988 654902821435 424375620545 935230691706 548967907735\n"
+        "654902821435 1080813023240 10133761204 260613547974 61316261067\n"
+        "424375620545 10133761204 1034882372175 53625641299 30879380208\n"
+        "935230691706 260613547974 53625641299 1019338649789 774686563137\n"
+        "548967907735 61316261067 30879380208 774686563137 983143119798\n",
+        1,
     ),
 }
 

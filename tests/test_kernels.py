@@ -18,8 +18,11 @@ from treetp import (
     pendant_deletion_hypothesis,
     pendant_vertices,
 )
+from treetp import GenConfig, batch_verify, exact_linalg
 from treetp import _kernels as kernels
 from treetp.fixtures import PITCHFORK_COUNTEREXAMPLE, STAR4_EXAMPLE
+
+from conftest import laplace_det
 
 
 def exact(a) -> ExactMatrix:
@@ -78,6 +81,34 @@ class TestMinorValue:
         for rows, cols in [((2, 0), (1, 3)), ((4, 1, 3), (0, 5, 2)), ((5, 0, 2, 1), (3, 4, 0, 1))]:
             expected = minor(exact(a), [r + 1 for r in rows], [c + 1 for c in cols])
             assert kernels.minor_value(a, rows, cols) == expected
+
+    @pytest.mark.parametrize("hi", [1, 150, 2**21, 2**70])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_closed_forms_match_bareiss_and_laplace(self, rng, k, hi):
+        a = [[rng.randint(-hi, hi) for _ in range(7)] for _ in range(7)]
+        for t in range(24):
+            rows, cols = rng.sample(range(7), k), rng.sample(range(7), k)
+            if t % 3 == 0:  # ordered lists as well as permuted ones
+                rows, cols = sorted(rows), sorted(cols)
+            sub = [[a[r][c] for c in cols] for r in rows]
+            expected = det(exact(sub))
+            assert laplace_det(sub) == expected
+            assert kernels.minor_value(a, rows, cols) == expected
+
+    @pytest.mark.parametrize("hi", [1, 150, 2**21, 2**70])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_closed_forms_vanish_on_a_repeated_line(self, rng, k, hi):
+        a = [[rng.randint(-hi, hi) for _ in range(7)] for _ in range(7)]
+        for t in range(12):
+            rows, cols = rng.sample(range(7), k), rng.sample(range(7), k)
+            i, j = rng.sample(range(k), 2)
+            if t % 2:
+                rows[i] = rows[j]
+            else:
+                cols[i] = cols[j]
+            sub = [[a[r][c] for c in cols] for r in rows]
+            assert det(exact(sub)) == laplace_det(sub) == 0
+            assert kernels.minor_value(a, rows, cols) == 0
 
 
 class TestViolationCounts:
@@ -235,3 +266,22 @@ class TestRepairChunk:
                 )
                 assert (a, current, used) == (ref, ref_current, ref_used)
                 assert bad == [kernels.minor_value(a, r, c) <= 0 for r, c in rplan.minors]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GenConfig(tree=make_star(6, 1), seed=61, augmented=True, repair=True, max_attempts=50),
+        GenConfig(tree=make_pitchfork(), seed=31, symmetric=True, repair=True, max_attempts=25),
+    ],
+    ids=["star6-augmented", "pitchfork-symmetric"],
+)
+def test_repair_runs_without_bareiss(monkeypatch, cfg):
+    # every plan minor here is at most 5x5, so no evaluation reaches Bareiss
+    expected = batch_verify(cfg, 1).generated
+
+    def no_bareiss(rows):
+        raise AssertionError("Bareiss elimination ran")
+
+    monkeypatch.setattr(exact_linalg, "_det_int", no_bareiss)
+    assert batch_verify(cfg, 1).generated == expected == 1
