@@ -57,6 +57,20 @@ def _load_tree(spec: str):
         raise CliError(f"bad tree spec: {exc}") from exc
 
 
+def _nonneg_int(text: str) -> int:
+    """argparse type for a flag that takes an integer, 0 or more.
+
+    A non-integer gets argparse's own message for ``type=int``.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _fmt(x: float, precision: int) -> str:
     return f"{x:.{precision}f}"
 
@@ -375,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="smallest-eigenvalue classification and eigenvector")
     p.add_argument("matrix")
     p.add_argument("--tree", help="tree spec for the signing verdict")
-    p.add_argument("--precision", type=int, default=2)
+    p.add_argument("--precision", type=_nonneg_int, default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
@@ -394,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augmented", action="store_true")
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--repair", action="store_true", help="greedy single-entry repair phase")
-    p.add_argument("--keep", type=int, default=5)
+    p.add_argument("--keep", type=_nonneg_int, default=5)
     p.add_argument("--workers", type=int, default=1, help="worker processes; reports are identical for any count")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_conjecture)
@@ -419,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

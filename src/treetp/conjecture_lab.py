@@ -29,6 +29,7 @@ from .tree_model import LabelledTree, enumerate_labelled_trees
 _SEED_MASK = 2**64 - 1
 _BATCH = 4096
 _REPAIR_CHUNK = 2048
+_REPAIR_ROUNDS = 20_000  # proposals per repair start
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class GenConfig:
     augmented: bool = False
     symmetric: bool = False
     repair: bool = False
-    repair_rounds: int = 20_000
 
     def __post_init__(self):
         lo, hi = self.entry_range
@@ -132,7 +132,7 @@ def _generate_repair(cfg, rplan, rng, n, lo, hi) -> tuple[ExactMatrix | None, in
             a = _symmetrize(a[None])[0]
         a = a.tolist()
         current, bad = _kernels.repair_start(a, rplan)
-        rounds_left = cfg.repair_rounds
+        rounds_left = _REPAIR_ROUNDS
         while rounds_left > 0 and current > 0:
             size = min(_REPAIR_CHUNK, rounds_left)
             pos_i = rng.integers(0, n, size=size, dtype=np.int64)
@@ -262,7 +262,7 @@ def _config_echo(cfg: GenConfig) -> dict:
         "augmented": cfg.augmented,
         "symmetric": cfg.symmetric,
         "repair": cfg.repair,
-        "repair_rounds": cfg.repair_rounds,
+        "repair_rounds": _REPAIR_ROUNDS,
     }
 
 

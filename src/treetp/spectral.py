@@ -8,7 +8,10 @@ power-of-two denominator); complex eigenvalues are estimated numerically,
 which is all they are needed for.  The eigenvector of the smallest
 eigenvalue prefers the adjugate route: when the adjugate is signature
 similar to a positive matrix, power iteration on that positive matrix is
-provably convergent.
+provably convergent.  Otherwise the ``inverse-iteration`` vector is read
+from the same Faddeev-LeVerrier pass, run on A - mu I at the isolated
+eigenvalue mu: adj(A - mu I) 1 / det(A - mu I), or a nonzero adjugate
+column when mu is exact; an eigenspace of dimension >= 2 reports no vector.
 
 Each instance computes its characteristic polynomial, root isolation and
 numeric spectrum once, in `full_spectrum_numeric`, whose result carries
@@ -543,36 +546,25 @@ class SpectralSummary:
     route: str
 
 
-def _solve_ones_or_kernel(B: ExactMatrix) -> tuple[list[Fraction], bool]:
-    """Gauss-Jordan over the rationals on [B | 1].
+def _solve_ones_or_kernel(B: ExactMatrix) -> tuple[list[Fraction] | None, bool]:
+    """Exact B x = 1, or a kernel vector of B, from one Faddeev-LeVerrier pass.
 
-    Returns (x, False) with B x = 1 when B is invertible, else (v, True)
-    with v the exact kernel vector of B set by its first free column.
+    With B = M/d, M integer, the pass gives det(M) = (-1)^n c[0] and
+    adj(M) = (-1)^(n+1) N.  Returns (x, False) with x = -d (N 1) / c[0]
+    when B is invertible.  Otherwise returns (v, True): at rank n-1,
+    adj(M) has rank 1 and its first nonzero column, divided by its last
+    nonzero entry, is the kernel vector v; at rank n-2 or less adj(M) = 0,
+    the kernel has dimension >= 2 and v is None.
     """
-    n = B.n
-    m = [list(row) + [Fraction(1)] for row in B.rows]
-    pivots: list[int] = []
-    for col in range(n):
-        row = len(pivots)
-        piv = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-    if len(pivots) == n:
-        return [m[r][n] for r in range(n)], False
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -m[r][free]
-    return vec, True
+    c, N, d = faddeev_leverrier(B)
+    if c[0] != 0:
+        return [Fraction(-d * sum(row), c[0]) for row in N], False
+    col = next((j for j in range(B.n) if any(row[j] for row in N)), None)
+    if col is None:
+        return None, True
+    v = [row[col] for row in N]
+    last = next(x for x in reversed(v) if x)
+    return [Fraction(x, last) for x in v], True
 
 
 def _normalizations(v: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
@@ -596,8 +588,12 @@ def smallest_eig_vector(
 
     Prefers the signature-conjugated adjugate (a positive matrix whose
     Perron vector is the wanted eigenvector, up to signs); falls back to
-    inverse iteration at the exactly isolated smallest real eigenvalue,
-    and reports a complex pair when the smallest eigenvalue is not real.
+    inverse iteration at the exactly isolated smallest real eigenvalue mu,
+    one exact solve of (A - mu I) x = 1 read from the Faddeev-LeVerrier
+    pass on A - mu I (`_solve_ones_or_kernel`).  Reports no vector (route
+    ``"none"``) when the smallest eigenvalue is not real, and when mu is
+    exact with an eigenspace of dimension >= 2, which has no single
+    eigenvector to sign.
     """
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
@@ -645,13 +641,15 @@ def smallest_eig_vector(
         solution, singular = _solve_ones_or_kernel(shifted)
         if singular:
             # the midpoint hit the eigenvalue exactly; take the exact kernel
+            # vector, None when the eigenspace has dimension >= 2
             exact_vector = solution
-            vector = np.array([float(x) for x in exact_vector])
+            if solution is not None:
+                vector = np.array([float(x) for x in exact_vector])
         else:
             biggest = max(abs(x) for x in solution)
             vector = np.array([float(x / biggest) for x in solution])
         lam = float(shift)
-        route = "inverse-iteration"
+        route = "inverse-iteration" if vector is not None else "none"
 
     if vector is None:
         return SpectralSummary(

@@ -128,6 +128,22 @@ class TestSpectrum:
         assert code == 0
         assert "2.5050" in out
 
+    def test_negative_precision_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "spectrum", "fixture:star4-example", "--tree", "star:4", "--precision", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--precision" in err
+
+    def test_rank_deficient_matrix_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "low.txt"
+        p.write_text("0 0 0\n0 0 0\n0 0 1\n")
+        code, out, err = run(capsys, "spectrum", str(p), "--tree", "star:3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "rank" in err
+
 
 class TestSigning:
     def test_star4(self, capsys):
@@ -182,6 +198,14 @@ class TestConjecture:
             capsys, "conjecture", "--tree", "star:4", "--trials", "1", "--range", "10"
         )
         assert code == 2
+
+    def test_negative_keep_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "conjecture", "--tree", "star:3", "--trials", "1", "--keep", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--keep" in err
 
     def test_negative_trials_exit_2(self, capsys):
         code, out, err = run(

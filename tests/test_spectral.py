@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import pkgutil
 import sys
@@ -12,6 +13,7 @@ from treetp import (
     Polynomial,
     char_poly,
     det,
+    minor,
     full_spectrum_numeric,
     make_path,
     make_star,
@@ -413,3 +415,86 @@ class TestSmallestEigVector:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             smallest_eig_vector(ExactMatrix.identity(3), make_star(4, 1))
+
+    def test_two_dimensional_eigenspace_reports_no_vector(self):
+        # eigenvalue 1 has multiplicity 2 and A - I has rank 1: no single
+        # eigenvector to sign, so no vector and no signing verdict
+        A = ExactMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+        s = smallest_eig_vector(A, make_path((1, 2, 3)))
+        assert s.route == "none"
+        assert s.smallest.is_real and s.smallest.estimate == 1
+        assert s.smallest.is_simple is False and s.smallest.multiplicity == 2
+        assert s.signed_ok is None and s.signing is None
+        assert s.eigenvector_unit is None and s.eigenvector_last1 is None
+        assert s.residual_inf is None
+        verdict = run_conjecture(A, make_path((1, 2, 3)))
+        assert not verdict.conclusion_ok
+
+
+def _rank_class(B: ExactMatrix) -> str:
+    """'full', 'n-1' or 'low' from Bareiss determinants and minors."""
+    n = B.n
+    if det(B) != 0:
+        return "full"
+    if n == 1:
+        return "n-1"
+    subsets = list(itertools.combinations(range(1, n + 1), n - 1))
+    if any(minor(B, r, c) != 0 for r in subsets for c in subsets):
+        return "n-1"
+    return "low"
+
+
+def _low_rank(rng, n: int, rank: int, den_bits: int) -> list[list[Fraction]]:
+    u = [[Fraction(rng.randint(-3, 3), 2 ** rng.randint(0, den_bits)) for _ in range(rank)] for _ in range(n)]
+    v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    return [[sum(u[i][k] * v[k][j] for k in range(rank)) for j in range(n)] for i in range(n)]
+
+
+class TestSolveOnesOrKernel:
+    """`_solve_ones_or_kernel` against exact products and Bareiss ranks."""
+
+    def _check(self, B: ExactMatrix, seen: set) -> None:
+        x, singular = spectral._solve_ones_or_kernel(B)
+        kind = _rank_class(B)
+        seen.add(kind)
+        if kind == "low":
+            assert singular and x is None
+            return
+        assert x is not None and all(isinstance(t, Fraction) for t in x)
+        Bx = [sum(b * t for b, t in zip(row, x)) for row in B.rows]
+        if kind == "full":
+            assert not singular and Bx == [1] * B.n
+        else:
+            assert singular and Bx == [0] * B.n
+            assert next(t for t in reversed(x) if t != 0) == 1
+
+    def test_random_integer_matrices(self, rng):
+        seen: set = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            if rng.random() < 0.5:
+                B = random_int_matrix(rng, n, -2, 2)
+            else:
+                B = ExactMatrix(_low_rank(rng, n, rng.randint(0, n), 0))
+            self._check(B, seen)
+        assert seen == {"full", "n-1", "low"}
+
+    def test_rational_matrices_shifted_by_dyadic_mu(self, rng):
+        seen: set = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            mu = Fraction(rng.randint(-(2**50), 2**50), 2 ** rng.randint(0, 45))
+            if rng.random() < 0.5:
+                base = [list(row) for row in random_rational_matrix(rng, n).rows]
+            else:
+                # mu is an exact eigenvalue of base, of geometric multiplicity >= n - rank
+                base = _low_rank(rng, n, rng.randint(0, n), 45)
+                for i in range(n):
+                    base[i][i] += mu
+            A = ExactMatrix(base)
+            # the shift exactly as smallest_eig_vector builds it
+            B = ExactMatrix(
+                [[A.rows[i][j] - (mu if i == j else 0) for j in range(n)] for i in range(n)]
+            )
+            self._check(B, seen)
+        assert seen == {"full", "n-1", "low"}
