@@ -1,11 +1,9 @@
 """The generator's screening objective: one minor plan, evaluated exactly.
 
-The pendant-deletion hypothesis is a list of minors that must be strictly
-positive: every initial minor of every maximal path of the tree (the
-Gasca-Pena criterion for TP), and with ``augmented`` every principal minor
-of every pendant-deleted block.  ``minor_plan`` lists them once, and
-``hypothesis_violations`` counts the non-positive ones in Python integers,
-which never overflow, so one code path serves every entry range.
+``minor_plan`` is ``positivity.hypothesis_plan`` flat: every minor the
+hypothesis needs strictly positive, once per path or block that needs it.
+``hypothesis_violations`` counts its non-positive minors in Python
+integers, which never overflow, so one code path serves every entry range.
 
 Greedy repair drives that count to zero.  ``repair_plan`` compiles the
 plan into its distinct minors, each bound once to its evaluator (a
@@ -23,7 +21,6 @@ accepts is re-checked by ``positivity`` before it is reported.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .exact_linalg import minor_evaluator, minor_value
-from .positivity import _initial_minor_lists
-from .tree_model import LabelledTree, maximal_paths, pendant_vertices
+from .positivity import hypothesis_plan
+from .tree_model import LabelledTree
 
 INT64_GUARD = 2**63
 
@@ -53,22 +50,9 @@ def int64_screen_safe(max_minor_size: int, hi: int) -> bool:
 
 
 def minor_plan(tree: LabelledTree, augmented: bool) -> tuple[Minor, ...]:
-    """Every minor the hypothesis needs positive, in path then block order.
-
-    A minor shared by two paths or blocks is listed for each of them, so
-    the violation count weighs it once per path or block.
-    """
-    plan = []
-    for path in maximal_paths(tree):
-        idx = [v - 1 for v in path.vertices]
-        for rows, cols in _initial_minor_lists(len(idx)):
-            plan.append((tuple(idx[r - 1] for r in rows), tuple(idx[c - 1] for c in cols)))
-    if augmented:
-        for p in pendant_vertices(tree):
-            keep = [v - 1 for v in range(1, tree.n + 1) if v != p]
-            for size in range(1, len(keep) + 1):
-                plan.extend((sel, sel) for sel in itertools.combinations(keep, size))
-    return tuple(plan)
+    """``positivity.hypothesis_plan`` as one flat tuple, in check order."""
+    paths, pendants = hypothesis_plan(tree, augmented)
+    return tuple(m for _, minors in paths + pendants for m in minors)
 
 
 def hypothesis_violations(a: list[list[int]], plan: tuple[Minor, ...]) -> int:

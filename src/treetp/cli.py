@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when the requested verdict/reproduction passes, 1 when a
-verdict is false or a reproduction mismatches, 2 on usage or parse errors.
+verdict is false or a reproduction mismatches, 2 on usage or parse errors,
+141 (128 + SIGPIPE) when the reader closes standard output early (``| head``).
 
 Matrix arguments accept a file path or ``fixture:<name>`` for one of the
 embedded examples.  Trees use the mini-language ``star:<n>[:<center>]``,
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from .conjecture_lab import (
 )
 from .exact_linalg import ExactMatrix, adjugate, matrix_from_text, matrix_to_text
 from .fixtures import FIXTURES, get_fixture
-from .positivity import is_t_tp, pendant_deletion_hypothesis
+from .positivity import HypothesisReport, is_t_tp, pendant_deletion_hypothesis
 from .spectral import full_spectrum_numeric, smallest_eig_vector
 from .tree_model import enumerate_labelled_trees, parse_tree_spec, tree_signing
 
@@ -80,14 +82,10 @@ def cmd_check(args) -> int:
     tree = _load_tree(args.tree)
     if A.n != tree.n:
         raise CliError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
-    if args.augmented:
-        report = pendant_deletion_hypothesis(A, tree)
-        ttp = report.ttp
-        holds = report.holds
-    else:
-        ttp = is_t_tp(A, tree, mode=args.mode)
-        report = None
-        holds = ttp.is_t_tp
+    # --mode applies to the paths only: the pendant checks have no mode
+    ttp = is_t_tp(A, tree, mode=args.mode)
+    pendant_checks = pendant_deletion_hypothesis(A, tree).pendant_checks if args.augmented else ()
+    holds = HypothesisReport(ttp, pendant_checks).holds
     if args.json:
         payload = {
             "t_tp": ttp.is_t_tp,
@@ -108,7 +106,7 @@ def cmd_check(args) -> int:
                 for c in ttp.per_path
             ],
         }
-        if report is not None:
+        if args.augmented:
             payload["pendant_checks"] = [
                 {
                     "vertex": c.vertex,
@@ -120,7 +118,7 @@ def cmd_check(args) -> int:
                         "value": str(c.report.witness.value),
                     },
                 }
-                for c in report.pendant_checks
+                for c in pendant_checks
             ]
         print(json.dumps(payload, indent=2))
     else:
@@ -131,14 +129,13 @@ def cmd_check(args) -> int:
                 w = c.report.witness
                 line += f" (minor rows={list(w.rows)} cols={list(w.cols)} = {w.value})"
             print(line)
-        if report is not None:
-            for c in report.pendant_checks:
-                status = "P-matrix" if c.report.is_p_matrix else "not a P-matrix"
-                line = f"pendant {c.vertex} deleted: {status}"
-                if c.report.witness is not None:
-                    w = c.report.witness
-                    line += f" (principal minor {list(w.rows)} = {w.value})"
-                print(line)
+        for c in pendant_checks:
+            status = "P-matrix" if c.report.is_p_matrix else "not a P-matrix"
+            line = f"pendant {c.vertex} deleted: {status}"
+            if c.report.witness is not None:
+                w = c.report.witness
+                line += f" (principal minor {list(w.rows)} = {w.value})"
+            print(line)
         print("verdict:", "PASS" if holds else "FAIL")
     return 0 if holds else 1
 
@@ -432,7 +429,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe early is seen here, not at exit
+        return code
+    except BrokenPipeError:
+        # as the Python docs advise: point stdout at devnull so the final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Randomized generation and batch testing of the tree-positivity conjecture.
 
-Candidates are integer matrices that meet every minor of the tree's plan
-in ``_kernels``, found by rejection sampling or by greedy repair, then
-re-verified by ``positivity`` before they are ever reported.
+Candidates are integer matrices that meet every minor of the hypothesis
+plan (``positivity.hypothesis_plan``, flat in ``_kernels``), found by
+rejection sampling or greedy repair, then re-checked by ``positivity``.
 Every random decision flows from a per-slot seed stream, so a batch is
 reproducible and the parallel and serial runs produce identical reports.
 """
@@ -39,7 +39,9 @@ class GenConfig:
     ``max_attempts`` counts starting matrices: screened candidates in
     rejection mode, hill-climb starts when ``repair`` is on.  Left as
     None it becomes 1,000 starts with ``repair`` and 2,000,000 candidates
-    without.  Entries are drawn uniformly from ``entry_range``
+    without, fixed when the config is built: ``dataclasses.replace`` that
+    switches ``repair`` keeps the old budget, so pass ``max_attempts`` too.
+    Entries are drawn uniformly from ``entry_range``
     (inclusive); positivity of the target class forces lo >= 1.
     """
 

@@ -200,6 +200,11 @@ def clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
+def clear_rows(A: ExactMatrix) -> tuple[tuple[list[int], ...], tuple[int, ...]]:
+    """(the rows of A scaled to integers, the positive scale of each row)."""
+    return tuple(zip(*map(clear_denominators, A.rows)))
+
+
 def _det_int(rows: list[list[int]]) -> int:
     """Bareiss fraction-free elimination for integer matrices."""
     n = len(rows)
@@ -350,13 +355,8 @@ def det(A: ExactMatrix) -> Fraction:
     Denominators are cleared row by row first so the elimination runs over
     plain integers with no intermediate fractions.
     """
-    scale = 1
-    int_rows: list[list[int]] = []
-    for row in A.rows:
-        ints, d = clear_denominators(row)
-        scale *= d
-        int_rows.append(ints)
-    return Fraction(_det_int(int_rows), scale)
+    int_rows, scales = clear_rows(A)
+    return Fraction(_det_int(int_rows), math.prod(scales))
 
 
 def minor(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:

@@ -5,6 +5,11 @@ positive.  Relative to a labelled tree T, a matrix is T-TP when the
 principal submatrix along every path of T, ordered as the path is walked,
 is TP.  Every path extends to a leaf-to-leaf path and TP is inherited by
 submatrices, so only maximal paths are checked.
+
+``hypothesis_plan`` is the one definition of the hypothesis as minors that
+must be positive.  The predicates evaluate it with ``minor_value`` on rows
+cleared to integers once per call; the generator reads it flattened
+(``_kernels.minor_plan``); ``all-minors`` stays on ``minor``, the reference.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from .exact_linalg import (
     IndexList,
     SignMatrix,
     adjugate,
-    clear_denominators,
+    clear_rows,
     minor,
     minor_value,
     submatrix,
@@ -103,13 +108,62 @@ def _all_minor_lists(n: int):
                 yield rows, cols
 
 
-def _initial_minor_lists(n: int):
-    # contiguous blocks anchored at the first row or the first column
+def _initial_minors(idx: tuple[int, ...]):
+    # contiguous blocks of idx anchored at its first row or its first column
+    n = len(idx)
     for size in range(1, n + 1):
-        for j in range(1, n - size + 2):
-            yield tuple(range(1, size + 1)), tuple(range(j, j + size))
-        for i in range(2, n - size + 2):
-            yield tuple(range(i, i + size)), tuple(range(1, size + 1))
+        for j in range(n - size + 1):
+            yield idx[:size], idx[j : j + size]
+        for i in range(1, n - size + 1):
+            yield idx[i : i + size], idx[:size]
+
+
+def _principal_minors(indices):
+    # smallest first, so a witness is a smallest failing block
+    for size in range(1, len(indices) + 1):
+        for sel in itertools.combinations(indices, size):
+            yield sel, sel
+
+
+def hypothesis_plan(tree: LabelledTree, augmented: bool):
+    """(path groups, pendant groups) of (owner, minors), in check order.
+
+    Each maximal path owns its initial minors, listed along the path; with
+    `augmented`, each pendant vertex owns the principal minors of the block
+    without it, smallest first.  Minors are 0-based (rows, cols) of A.
+    """
+    paths = tuple(
+        (path, tuple(_initial_minors(tuple(v - 1 for v in path.vertices))))
+        for path in maximal_paths(tree)
+    )
+    pendants = tuple(
+        (p, tuple(_principal_minors([i for i in range(tree.n) if i != p - 1])))
+        for p in (pendant_vertices(tree) if augmented else ())
+    )
+    return paths, pendants
+
+
+def _first_nonpositive(cleared, minors, path: TreePath | None = None):
+    """(all positive, witness of the first non-positive minor or None, minors checked).
+
+    Row scales are positive, so every minor of the cleared rows keeps its
+    sign; a witness divides it by its rows' scales, and names each row and
+    column by its 1-based position along `path`, else by its 1-based index.
+    """
+    a, scales = cleared
+    order = range(1, len(a) + 1) if path is None else path.vertices
+    checked = 0
+    for rows, cols in minors:
+        checked += 1
+        value = minor_value(a, rows, cols)
+        if value <= 0:
+            witness = TpWitness(
+                IndexList(order.index(r + 1) + 1 for r in rows),
+                IndexList(order.index(c + 1) + 1 for c in cols),
+                Fraction(value, math.prod(scales[r] for r in rows)),
+            )
+            return False, witness, checked
+    return True, None, checked
 
 
 def is_tp(M: ExactMatrix, mode: str = "initial-minors") -> TpReport:
@@ -122,8 +176,7 @@ def is_tp(M: ExactMatrix, mode: str = "initial-minors") -> TpReport:
     if mode not in TP_MODES:
         raise ValueError(f"mode must be one of {TP_MODES}, got {mode!r}")
     if mode == "initial-minors":
-        failing, checked = _first_nonpositive(M, _initial_minor_lists(M.n))
-        return TpReport(failing is None, failing, checked)
+        return TpReport(*_first_nonpositive(clear_rows(M), _initial_minors(tuple(range(M.n)))))
     # "all-minors" stays on `minor`, an independent reference for the above
     checked = 0
     for rows, cols in _all_minor_lists(M.n):
@@ -134,73 +187,47 @@ def is_tp(M: ExactMatrix, mode: str = "initial-minors") -> TpReport:
     return TpReport(True, None, checked)
 
 
-def _first_nonpositive(M: ExactMatrix, lists) -> tuple[TpWitness | None, int]:
-    """(witness of the first non-positive minor or None, minors checked).
-
-    Each row is scaled to integers by the LCM of its denominators, which is
-    positive, so every minor keeps its sign; a witness value is the integer
-    minor divided by the product of its rows' scales.
-    """
-    a, scales = zip(*map(clear_denominators, M.rows))
-    checked = 0
-    for rows, cols in lists:
-        checked += 1
-        r0 = [r - 1 for r in rows]
-        value = minor_value(a, r0, [c - 1 for c in cols])
-        if value <= 0:
-            value = Fraction(value, math.prod(scales[r] for r in r0))
-            return TpWitness(IndexList(rows), IndexList(cols), value), checked
-    return None, checked
-
-
 def path_matrix(A: ExactMatrix, path: TreePath) -> ExactMatrix:
     """Principal submatrix with rows and columns ordered along the path."""
     return submatrix(A, path.vertices, path.vertices)
 
 
+def _path_report(cleared, paths) -> TtpReport:
+    checks = tuple(
+        PathCheck(p, TpReport(*_first_nonpositive(cleared, minors, p))) for p, minors in paths
+    )
+    return TtpReport(all(c.report.is_tp for c in checks), checks)
+
+
 def is_t_tp(A: ExactMatrix, tree: LabelledTree, mode: str = "initial-minors") -> TtpReport:
-    """TP check of A[P] for every maximal path P of the tree."""
+    """TP check of A[P] for every maximal path P; witnesses index along P."""
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
-    checks = []
-    ok = True
-    for path in maximal_paths(tree):
-        report = is_tp(path_matrix(A, path), mode)
-        checks.append(PathCheck(path, report))
-        ok = ok and report.is_tp
-    return TtpReport(ok, tuple(checks))
+    if mode == "initial-minors":
+        return _path_report(clear_rows(A), hypothesis_plan(tree, False)[0])
+    # `is_tp` rejects an unknown mode
+    checks = tuple(PathCheck(p, is_tp(path_matrix(A, p), mode)) for p in maximal_paths(tree))
+    return TtpReport(all(c.report.is_tp for c in checks), checks)
 
 
 def is_p_matrix(M: ExactMatrix) -> PMatrixReport:
     """All principal minors strictly positive; witnesses surface smallest-first."""
-    principal = (
-        (idx, idx)
-        for size in range(1, M.n + 1)
-        for idx in itertools.combinations(range(1, M.n + 1), size)
-    )
-    failing, checked = _first_nonpositive(M, principal)
-    return PMatrixReport(failing is None, failing, checked)
+    return PMatrixReport(*_first_nonpositive(clear_rows(M), _principal_minors(range(M.n))))
 
 
 def pendant_deletion_hypothesis(A: ExactMatrix, tree: LabelledTree) -> HypothesisReport:
     """T-TP plus: deleting any pendant vertex leaves a P-matrix.
 
-    Witnesses are reported in the original vertex labels.
+    Pendant witnesses are reported in the original vertex labels.
     """
-    ttp = is_t_tp(A, tree)
-    checks = []
-    for p in pendant_vertices(tree):
-        keep = IndexList(v for v in range(1, tree.n + 1) if v != p)
-        report = is_p_matrix(submatrix(A, keep, keep))
-        if report.witness is not None:
-            mapped = IndexList(keep[i - 1] for i in report.witness.rows)
-            report = PMatrixReport(
-                report.is_p_matrix,
-                TpWitness(mapped, mapped, report.witness.value),
-                report.minors_checked,
-            )
-        checks.append(PendantCheck(p, report))
-    return HypothesisReport(ttp, tuple(checks))
+    if A.n != tree.n:
+        raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
+    cleared = clear_rows(A)
+    paths, pendants = hypothesis_plan(tree, True)
+    checks = tuple(
+        PendantCheck(p, PMatrixReport(*_first_nonpositive(cleared, minors))) for p, minors in pendants
+    )
+    return HypothesisReport(_path_report(cleared, paths), checks)
 
 
 def predicted_adjoint_sign(tree: LabelledTree) -> SignMatrix:

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import treetp
 from treetp.cli import main
-from treetp.exact_linalg import matrix_to_text
+from treetp.exact_linalg import ExactMatrix, matrix_to_text
 from treetp.fixtures import STAR4_EXAMPLE
 
 
@@ -64,6 +70,39 @@ class TestCheck:
             capsys, "check", "fixture:star4-example", "--tree", "star:4", "--mode", "all-minors"
         )
         assert code == 0
+
+    def test_augmented_follows_mode(self, capsys, tmp_path):
+        # --mode decides the path checks with or without --augmented; the
+        # pendant checks have no mode
+        p = tmp_path / "m.txt"
+        p.write_text("5 4 1 1\n4 5 4 1\n1 4 5 9\n1 1 9 5\n")
+        pendant_checks = []
+        for mode in ("initial-minors", "all-minors"):
+            base = ("check", str(p), "--tree", "star:4", "--mode", mode, "--json")
+            plain = json.loads(run(capsys, *base)[1])
+            code, out, _ = run(capsys, *base, "--augmented")
+            augmented = json.loads(out)
+            assert code == 1 and augmented["paths"] == plain["paths"]
+            pendant_checks.append(augmented["pendant_checks"])
+        assert [c["minors_checked"] for c in augmented["paths"]] == [11, 12, 11]
+        assert pendant_checks[0] == pendant_checks[1]
+
+    def test_closed_pipe_exits_quietly(self):
+        # a reader that stops early, as `treetp trees --n 7 | head -1` does
+        src = str(Path(treetp.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "treetp.cli", "trees", "--n", "7"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline().strip()
+        proc.stdout.close()  # 16,807 lines remain, more than a pipe buffer holds
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
 
 class TestAdjoint:
@@ -258,3 +297,38 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+# `treetp check` output pinned on failing `random` corpus matrices on star:5
+# (and one rational matrix derived from one of them), with and without
+# --augmented, as text and as JSON.  The corpus file is only read.
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.json"
+GOLDEN_CHECK = Path(__file__).resolve().parent / "golden_check.json"
+CHECK_MATRICES = ("random-2", "random-20", "random-24", "random-30", "random-2-rows-over-i+2")
+CHECK_FLAGS = ((), ("--augmented",), ("--json",), ("--augmented", "--json"))
+
+
+def _check_matrix(name: str) -> ExactMatrix:
+    data = json.loads(CORPUS.read_text())
+    random = next(c for c in data["categories"] if c["name"] == "random")
+    rows = random["matrices"][int(name.split("-")[1])]
+    if name.endswith("-rows-over-i+2"):
+        rows = [[Fraction(x, i + 2) for x in row] for i, row in enumerate(rows)]
+    return ExactMatrix(rows)
+
+
+def observe_check(capsys, tmp_path, name: str, flags) -> dict:
+    """Exit code, stdout and stderr of `treetp check <name> --tree star:5 <flags>`."""
+    path = tmp_path / f"{name}.txt"
+    path.write_text(matrix_to_text(_check_matrix(name)))
+    code, out, err = run(capsys, "check", str(path), "--tree", "star:5", *flags)
+    return {"exit": code, "stdout": out, "stderr": err}
+
+
+class TestCheckGolden:
+    @pytest.mark.parametrize("flags", CHECK_FLAGS, ids=lambda f: " ".join(f) or "text")
+    @pytest.mark.parametrize("name", CHECK_MATRICES)
+    def test_output_is_pinned(self, capsys, tmp_path, name, flags):
+        golden = json.loads(GOLDEN_CHECK.read_text())
+        key = " ".join((name, *flags))
+        assert observe_check(capsys, tmp_path, name, flags) == golden[key]

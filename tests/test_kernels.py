@@ -18,7 +18,7 @@ from treetp import (
     pendant_deletion_hypothesis,
     pendant_vertices,
 )
-from treetp import GenConfig, batch_verify, exact_linalg
+from treetp import GenConfig, batch_verify, exact_linalg, positivity
 from treetp import _kernels as kernels
 from treetp.fixtures import PITCHFORK_COUNTEREXAMPLE, STAR4_EXAMPLE
 
@@ -144,6 +144,43 @@ class TestViolationCounts:
                 assert (bad == 0) == (
                     pendant_deletion_hypothesis(A, tree).holds if augmented else is_t_tp(A, tree).is_t_tp
                 )
+
+
+@pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+@pytest.mark.parametrize(
+    "tree",
+    [
+        make_star(4, 1),
+        make_star(5, 1),
+        make_star(6, 1),
+        make_star(6, 3),
+        make_pitchfork(),
+        make_path(range(1, 6)),
+        make_path([2, 4, 1, 5, 3]),
+    ],
+    ids=["star4", "star5", "star6", "star6-center3", "pitchfork", "path5", "path5-permuted"],
+)
+def test_minor_plan_joins_path_then_pendant_lists(tree, augmented):
+    """The flat plan is each maximal path's initial minors, ordered along
+    the path, then with `augmented` each pendant block's principal minors,
+    in the order the exact predicates check them."""
+    per_path = []
+    for path in maximal_paths(tree):
+        idx = tuple(v - 1 for v in path.vertices)
+        k = len(idx)
+        minors = []
+        for size in range(1, k + 1):
+            minors += [(idx[:size], idx[j : j + size]) for j in range(k - size + 1)]
+            minors += [(idx[i : i + size], idx[:size]) for i in range(1, k - size + 1)]
+        per_path.append((path, tuple(minors)))
+    per_pendant = []
+    for p in pendant_vertices(tree) if augmented else ():
+        keep = [v - 1 for v in range(1, tree.n + 1) if v != p]
+        minors = [(sel, sel) for size in range(1, tree.n) for sel in itertools.combinations(keep, size)]
+        per_pendant.append((p, tuple(minors)))
+    assert positivity.hypothesis_plan(tree, augmented) == (tuple(per_path), tuple(per_pendant))
+    joined = tuple(m for _, minors in per_path + per_pendant for m in minors)
+    assert kernels.minor_plan(tree, augmented) == joined
 
 
 def random_batch(rng, count, n, hi):

@@ -1,5 +1,7 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +22,13 @@ from treetp import (
     predicted_adjoint_sign,
     submatrix,
 )
+from treetp import positivity
+from treetp.conjecture_lab import test_conjecture as verify
+from treetp.conjecture_lab import verdict_summary
 from treetp.tree_model import TreePath
 from treetp.exact_linalg import IndexList
 from treetp.fixtures import (
+    FIXTURES,
     PITCHFORK_COUNTEREXAMPLE,
     STAR4_EXAMPLE,
     STAR5_COUNTEREXAMPLE,
@@ -324,21 +330,53 @@ class TestRationalRowWitnesses:
             A = _near_tp_rational(rng, n)
             assert _observed(is_p_matrix(A)) == _reference(A, _principal_order(n))
 
-    def test_pendant_deletion_hypothesis(self, rng):
-        tree = make_star(5, 1)
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            make_star(5, 1),
+            make_star(6, 1),
+            make_pitchfork(),
+            make_path(range(1, 6)),
+            make_path([2, 4, 1, 5, 3]),
+        ],
+        ids=["star5", "star6", "pitchfork", "path5", "path5-permuted"],
+    )
+    def test_pendant_deletion_hypothesis(self, rng, tree):
+        n = tree.n
         failing = 0
         for _ in range(30):
-            A = _near_tp_rational(rng, 5)
+            A = _near_tp_rational(rng, n)
             report = pendant_deletion_hypothesis(A, tree)
             for check in report.ttp.per_path:
                 M = path_matrix(A, check.path)
                 assert _observed(check.report) == _reference(M, _initial_order(M.n))
             for check in report.pendant_checks:
-                keep = [v for v in range(1, 6) if v != check.vertex]
-                witness, checked = _reference(submatrix(A, keep, keep), _principal_order(4))
+                keep = [v for v in range(1, n + 1) if v != check.vertex]
+                witness, checked = _reference(submatrix(A, keep, keep), _principal_order(n - 1))
                 if witness is not None:
                     mapped = tuple(keep[i - 1] for i in witness[0])
                     witness = (mapped, mapped, witness[2])
                     failing += 1
                 assert _observed(check.report) == (witness, checked)
         assert failing > 0
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.json"
+
+
+def test_verdicts_build_no_path_or_block_matrix(monkeypatch):
+    # the hypothesis is evaluated on A's rows; only "all-minors" builds A[P]
+    star6 = next(
+        c for c in json.loads(CORPUS.read_text())["categories"] if c["name"] == "star6-aug"
+    )
+    cases = [(fx.matrix, fx.tree, augmented) for fx in FIXTURES.values() for augmented in (False, True)]
+    cases += [(ExactMatrix(star6["matrices"][i]), make_star(6, 1), True) for i in (0, 5)]
+    expected = [verdict_summary(verify(A, tree, augmented)) for A, tree, augmented in cases]
+
+    def forbidden(*args):
+        raise AssertionError("a path or pendant-block matrix was built")
+
+    monkeypatch.setattr(positivity, "submatrix", forbidden)
+    monkeypatch.setattr(positivity, "path_matrix", forbidden)
+    assert [verdict_summary(verify(A, tree, augmented)) for A, tree, augmented in cases] == expected
+    assert all(summary["hypothesis_holds"] for summary in expected[-2:])
