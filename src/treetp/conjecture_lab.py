@@ -16,13 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .exact_linalg import ExactMatrix, matrix_from_text, matrix_to_text
-from .positivity import (
-    AdjointCheck,
-    HypothesisReport,
-    check_adjoint_conclusion,
-    is_t_tp,
-    pendant_deletion_hypothesis,
-)
+from .positivity import AdjointCheck, HypothesisReport, is_t_tp, pendant_deletion_hypothesis
 from .spectral import SmallestEigen, SpectralSummary, smallest_eig_vector
 from .tree_model import LabelledTree, enumerate_labelled_trees
 
@@ -158,8 +152,11 @@ def gen_candidate(cfg: GenConfig) -> ExactMatrix | None:
 @dataclass(frozen=True)
 class ConjectureVerdict:
     hypothesis: HypothesisReport
-    adjoint: AdjointCheck
     summary: SpectralSummary
+
+    @property
+    def adjoint(self) -> AdjointCheck:
+        return self.summary.adjoint
 
     @property
     def smallest(self) -> SmallestEigen:
@@ -184,13 +181,9 @@ class ConjectureVerdict:
 
 
 def test_conjecture(A: ExactMatrix, tree: LabelledTree, augmented: bool = False) -> ConjectureVerdict:
-    """Full verdict chain: hypotheses, adjugate signs, smallest eigenpair."""
-    if A.n != tree.n:
-        raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
+    """Full verdict chain: hypotheses, then adjugate signs and smallest eigenpair from one pass."""
     hypothesis = _hypothesis_reports(A, tree, augmented)
-    adjoint = check_adjoint_conclusion(A, tree)
-    summary = smallest_eig_vector(A, tree, adjoint_check=adjoint)
-    return ConjectureVerdict(hypothesis=hypothesis, adjoint=adjoint, summary=summary)
+    return ConjectureVerdict(hypothesis=hypothesis, summary=smallest_eig_vector(A, tree))
 
 
 def smallest_summary(s: SmallestEigen) -> dict:

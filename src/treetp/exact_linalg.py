@@ -396,18 +396,19 @@ def faddeev_leverrier(A: ExactMatrix) -> tuple[list[int], list[list[int]], int]:
     return c, N, d
 
 
-def adjugate(A: ExactMatrix) -> ExactMatrix:
-    """Exact adjugate, valid for singular matrices too.
-
-    adj(A) = (-1)^(n+1) N_(n-1) / d^(n-1) from the integer
-    Faddeev-LeVerrier pass on A = B/d (Cayley-Hamilton).
-    """
-    n = A.n
-    if n < 2:
-        raise ValueError("adjugate requires n >= 2")
-    _, N, d = faddeev_leverrier(A)
+def adjugate_from_pass(N: list[list[int]], d: int) -> ExactMatrix:
+    """adj(A) = (-1)^(n+1) N_(n-1) / d^(n-1) from `faddeev_leverrier(A)`'s N and d."""
+    n = len(N)
     sign, scale = (-1) ** (n + 1), d ** (n - 1)
     return ExactMatrix([[Fraction(sign * x, scale) for x in row] for row in N])
+
+
+def adjugate(A: ExactMatrix) -> ExactMatrix:
+    """Exact adjugate, valid for singular matrices too (`adjugate_from_pass`)."""
+    if A.n < 2:
+        raise ValueError("adjugate requires n >= 2")
+    _, N, d = faddeev_leverrier(A)
+    return adjugate_from_pass(N, d)
 
 
 def _minor_or_one(A: ExactMatrix, rows: IndexList, cols: IndexList) -> Fraction:

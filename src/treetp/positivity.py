@@ -26,6 +26,7 @@ from .exact_linalg import (
     clear_rows,
     minor,
     minor_value,
+    sign_pattern,
     submatrix,
 )
 from .tree_model import LabelledTree, TreePath, maximal_paths, pendant_vertices, tree_signing
@@ -247,21 +248,25 @@ class AdjointCheck:
         return self.ok
 
 
-def check_adjoint_conclusion(A: ExactMatrix, tree: LabelledTree) -> AdjointCheck:
-    """Does the exact adjugate match the tree-predicted sign pattern?
+def adjugate_sign_check(adj: ExactMatrix, tree: LabelledTree) -> AdjointCheck:
+    """Does the exact adjugate `adj` match the tree-predicted sign pattern?
 
     Zero entries count as mismatches: the conclusion requires a totally
-    nonzero adjugate.
+    nonzero adjugate.  Mismatches are listed in row-major order.
     """
+    predicted = predicted_adjoint_sign(tree)
+    signs = sign_pattern(adj).signs
+    mismatches = tuple(
+        (i + 1, j + 1)
+        for i in range(tree.n)
+        for j in range(tree.n)
+        if signs[i][j] != predicted.signs[i][j]
+    )
+    return AdjointCheck(not mismatches, mismatches, adj, predicted)
+
+
+def check_adjoint_conclusion(A: ExactMatrix, tree: LabelledTree) -> AdjointCheck:
+    """`adjugate_sign_check` on the exact adjugate of A."""
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
-    adj = adjugate(A)
-    predicted = predicted_adjoint_sign(tree)
-    mismatches = []
-    for i in range(A.n):
-        for j in range(A.n):
-            x = adj.rows[i][j]
-            sgn = (x > 0) - (x < 0)
-            if sgn != predicted.signs[i][j]:
-                mismatches.append((i + 1, j + 1))
-    return AdjointCheck(not mismatches, tuple(mismatches), adj, predicted)
+    return adjugate_sign_check(adjugate(A), tree)

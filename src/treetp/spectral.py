@@ -1,21 +1,22 @@
 """Spectral analysis built on the exact characteristic polynomial.
 
-The polynomial comes from the integer Faddeev-LeVerrier pass in
-``exact_linalg``.  Realness and simplicity of the minimum-modulus
-eigenvalue are decided exactly (Sturm sequences on the square-free part of
-the characteristic polynomial, bisected on integer numerators over a
-power-of-two denominator); complex eigenvalues are estimated numerically,
-which is all they are needed for.  The eigenvector of the smallest
-eigenvalue prefers the adjugate route: when the adjugate is signature
-similar to a positive matrix, power iteration on that positive matrix is
-provably convergent.  Otherwise the ``inverse-iteration`` vector is read
-from the same Faddeev-LeVerrier pass, run on A - mu I at the isolated
-eigenvalue mu: adj(A - mu I) 1 / det(A - mu I), or a nonzero adjugate
-column when mu is exact; an eigenspace of dimension >= 2 reports no vector.
-
-Each instance computes its characteristic polynomial, root isolation and
-numeric spectrum once, in `full_spectrum_numeric`, whose result carries
-them down the chain; there is no module-level cache.
+`full_spectrum_numeric` runs the integer Faddeev-LeVerrier pass of
+``exact_linalg`` on A once per instance; its result carries the
+characteristic polynomial and the adjugate from that pass, the root
+isolation and the numeric spectrum down the chain, with no module-level
+cache.  Realness and simplicity of the minimum-modulus eigenvalue are
+decided exactly: the polynomial is cleared to integers once, and Yun's
+square-free decomposition (gcds by a primitive pseudo-remainder sequence),
+the Sturm sequences and the bisection (integer numerators over a
+power-of-two denominator) all run on primitive integer polynomials.
+Complex eigenvalues are estimated numerically, which is all they are
+needed for.  The eigenvector of the smallest eigenvalue prefers the
+adjugate route: when the adjugate is signature similar to a positive
+matrix, power iteration on that positive matrix is provably convergent.
+Otherwise the ``inverse-iteration`` vector is read from a Faddeev-LeVerrier
+pass on A - mu I at the isolated eigenvalue mu: adj(A - mu I) 1 /
+det(A - mu I), or a nonzero adjugate column when mu is exact; an
+eigenspace of dimension >= 2 reports no vector.
 """
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import ExactMatrix, clear_denominators, faddeev_leverrier
+from .exact_linalg import ExactMatrix, adjugate_from_pass, clear_denominators, faddeev_leverrier
 from .tree_model import LabelledTree, SigningVerdict, is_signed_according_to, tree_signing
-from .positivity import AdjointCheck, check_adjoint_conclusion
+from .positivity import AdjointCheck, adjugate_sign_check
 
 MODULUS_MARGIN_RTOL = 1e-9
 ISOLATION_WIDTH = Fraction(1, 10**12)
@@ -39,7 +40,11 @@ PERRON_MAX_ITER = 100_000
 
 
 class Polynomial:
-    """Dense univariate polynomial over exact rationals, ascending coefficients."""
+    """Dense univariate polynomial over exact rationals, ascending coefficients.
+
+    A display and evaluation type: root isolation runs on integer
+    coefficient tuples.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -83,103 +88,17 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial(merged)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def scaled(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial([c * x for x in self.coeffs])
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scaled(Fraction(1) / self.coeffs[-1])
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = list(other.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(d) + 1)
-        lead = d[-1]
-        for k in range(len(rem) - len(d), -1, -1):
-            factor = rem[k + len(d) - 1] / lead
-            q[k] = factor
-            if factor:
-                for i, c in enumerate(d):
-                    rem[k + i] -= factor * c
-        return Polynomial(q), Polynomial(rem[: len(d) - 1])
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun's algorithm: p = const * prod f_i^i with the f_i squarefree, coprime."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    p = p.monic()
-    if p.degree < 1:
-        return []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p // a
-    c = dp // a
-    d = c - b.derivative()
-    out = []
-    i = 1
-    while b.degree > 0:
-        g = poly_gcd(b, d)
-        if g.degree > 0:
-            out.append((g, i))
-        b = b // g
-        c = d // g
-        d = c - b.derivative()
-        i += 1
-    return out
+def _char_poly(c: list[int], d: int) -> Polynomial:
+    """det(xI - A) from the coefficients c of det(xI - B), A = B/d."""
+    n = len(c) - 1
+    return Polynomial([Fraction(ck, d ** (n - k)) for k, ck in enumerate(c)])
 
 
 def char_poly(A: ExactMatrix) -> Polynomial:
     """Exact det(xI - A) from the integer Faddeev-LeVerrier pass on A = B/d."""
     c, _, d = faddeev_leverrier(A)
-    n = A.n
-    return Polynomial([Fraction(ck, d ** (n - k)) for k, ck in enumerate(c)])
+    return _char_poly(c, d)
 
 
 @dataclass(frozen=True)
@@ -200,13 +119,85 @@ class RootInterval:
         return self.lo == self.hi
 
 
-def _int_coeffs(p: Polynomial) -> tuple[int, ...]:
-    """Positive rescale to coprime integer coefficients (signs preserved)."""
-    ints, _ = clear_denominators(p.coeffs)
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+# Root isolation runs on integer coefficient tuples, ascending.  Each is a
+# positive multiple of the rational polynomial of the textbook algorithm,
+# so signs, Sturm counts, the Cauchy bound and the bisection points match.
+
+def _trim(f) -> tuple[int, ...]:
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(f)
+
+
+def _primitive(f) -> tuple[int, ...]:
+    """f divided by the gcd of its coefficients, signs kept."""
+    f = _trim(f)
+    g = math.gcd(*f)
+    return tuple(c // g for c in f) if g > 1 else f
+
+
+def _derivative(f: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(k * c for k, c in enumerate(f))[1:]
+
+
+def _pseudo_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Remainder of |lc(b)|^(deg a - deg b + 1) a on division by b.
+
+    The factor is positive, so this is a positive multiple of a mod b.
+    """
+    r = list(a)
+    m, lc = len(b) - 1, b[-1]
+    scale, sign = abs(lc), (lc > 0) - (lc < 0)
+    for k in range(len(r) - 1 - m, -1, -1):
+        q = sign * r[k + m]
+        # scale r by |lc| and cancel its top coefficient with q x^k b
+        r = [scale * x for x in r[: k + m]]
+        for i in range(m):
+            r[k + i] -= q * b[i]
+    return _trim(r)
+
+
+def _exact_quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a / b for integer polynomials where b divides a over the integers."""
+    r = list(a)
+    m = len(b) - 1
+    q = [0] * max(0, len(r) - m)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + m] // b[-1]
+        for i, c in enumerate(b):
+            r[k + i] -= q[k] * c
+    assert not any(r), "inexact polynomial division"
+    return tuple(q)
+
+
+def _gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive gcd with a positive leading coefficient (primitive PRS)."""
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    a = _primitive(a)
+    return a if a[-1] > 0 else tuple(-c for c in a)
+
+
+def _squarefree_factors(f: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """Yun's algorithm: f = const * prod g_i^i, the g_i squarefree and coprime.
+
+    Each listed g_i has degree >= 1, is primitive and leads positive.  b
+    and c carry the same factor, so d = c - b' is that factor times Yun's d.
+    """
+    df = _derivative(f)
+    a = _gcd(f, df)
+    b, c = _exact_quotient(f, a), _exact_quotient(df, a)
+    out = []
+    i = 1
+    while len(b) > 1:
+        d = _trim(x - y for x, y in itertools.zip_longest(c, _derivative(b), fillvalue=0))
+        g = _gcd(b, d)
+        if len(g) > 1:
+            out.append((g, i))
+        b, c = _exact_quotient(b, g), _exact_quotient(d, g)
+        i += 1
+    return out
 
 
 def _sign_at(ints: tuple[int, ...], num: int, den: int) -> int:
@@ -219,26 +210,17 @@ def _sign_at(ints: tuple[int, ...], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sturm_chain(f: Polynomial) -> list[tuple[int, ...]]:
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return [_int_coeffs(q) for q in chain]
+def _sturm_chain(f: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """f, f' and the negated remainders, each a primitive positive multiple."""
+    chain = [f, _primitive(_derivative(f))]
+    while r := _primitive(_pseudo_remainder(chain[-2], chain[-1])):
+        chain.append(tuple(-c for c in r))
+    return chain
 
 
 def _variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
-    signs = []
-    for q in chain:
-        s = _sign_at(q, num, den)
-        if s != 0:
-            signs.append(s)
+    signs = [s for s in (_sign_at(q, num, den) for q in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _cauchy_bound(f: Polynomial) -> Fraction:
-    lead = abs(f.coeffs[-1])
-    return 1 + max(abs(c) for c in f.coeffs[:-1]) / lead if f.degree >= 1 else Fraction(1)
 
 
 def _refine(
@@ -264,11 +246,11 @@ def _refine(
 
 
 def _isolate_squarefree(
-    f: Polynomial,
+    f: tuple[int, ...],
 ) -> tuple[list[tuple[Fraction, Fraction]], tuple[int, ...]]:
     """Disjoint isolating intervals (or exact points) for all real roots of f.
 
-    Also returns the integer coefficients of the deflated factor whose
+    f is primitive and squarefree.  Also returns the deflated factor whose
     simple roots the proper intervals isolate.  It has no root at their
     ends, which f may have: a rational root peeled off at a bisection
     midpoint can be the end of an interval of the deflated factor.
@@ -276,14 +258,11 @@ def _isolate_squarefree(
     exact: list[Fraction] = []
     # peel off rational roots hit during bisection by deflation
     while True:
-        if f.degree == 1:
-            exact.append(-f.coeffs[0] / f.coeffs[1])
+        if len(f) == 2:
+            exact.append(Fraction(-f[0], f[1]))
             return [(r, r) for r in exact], ()
-        if f.degree < 1:
-            return [(r, r) for r in exact], ()
-        f_ints = _int_coeffs(f)
         chain = _sturm_chain(f)
-        bound = _cauchy_bound(f)
+        bound = 1 + Fraction(max(abs(c) for c in f[:-1]), abs(f[-1]))  # Cauchy
         hit = None
         intervals = []
         # an interval is (a, b) over the denominator bound.denominator << depth
@@ -300,16 +279,17 @@ def _isolate_squarefree(
                 continue
             mid, depth = a + b, depth + 1
             den = d0 << depth
-            if _sign_at(f_ints, mid, den) == 0:
+            if _sign_at(f, mid, den) == 0:
                 hit = Fraction(mid, den)
                 break
             v_mid = _variations(chain, mid, den)
             stack.append((2 * a, mid, depth, v_lo, v_mid))
             stack.append((mid, 2 * b, depth, v_mid, v_hi))
         if hit is None:
-            return [(r, r) for r in exact] + intervals, f_ints
+            return [(r, r) for r in exact] + intervals, f
         exact.append(hit)
-        f = f // Polynomial([-hit, 1])
+        # f primitive and den * x - num primitive: the quotient is primitive
+        f = _exact_quotient(f, (-hit.numerator, hit.denominator))
 
 
 def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInterval]:
@@ -317,7 +297,7 @@ def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInt
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined roots")
     found: list[tuple[Fraction, Fraction, int, tuple[int, ...]]] = []
-    for factor, mult in squarefree_decomposition(p):
+    for factor, mult in _squarefree_factors(_primitive(clear_denominators(p.coeffs)[0])):
         intervals, f_ints = _isolate_squarefree(factor)
         for lo, hi in intervals:
             found.append((lo, hi, mult, f_ints))
@@ -483,6 +463,7 @@ class SpectrumEstimate:
     converged: bool
     max_scaled_residual: float
     char_poly: Polynomial
+    adjugate: ExactMatrix
     roots: tuple[RootInterval, ...]
     smallest: SmallestEigen
 
@@ -492,17 +473,18 @@ def full_spectrum_numeric(A: ExactMatrix) -> SpectrumEstimate:
 
     Deterministic simultaneous iteration; complex estimates are forced
     into exact conjugate pairs, with the count of real values taken from
-    the exact root isolation.  The result also holds the polynomial, its
+    the exact root isolation.  The result also holds the polynomial and
+    the adjugate, both read from one Faddeev-LeVerrier pass on A, the
     isolated real roots and the classified minimum-modulus eigenvalue.
     """
-    p = char_poly(A)
+    c, N, d = faddeev_leverrier(A)
+    p = _char_poly(c, d)
     roots = tuple(real_roots(p, refine_to=ISOLATION_WIDTH))
     values, converged, residual = _roots_durand_kerner(p, RESIDUAL_TOL)
     paired = _pair_conjugates(values, sum(r.multiplicity for r in roots))
     paired.sort(key=lambda z: (z.real, z.imag))
-    return SpectrumEstimate(
-        tuple(paired), converged, residual, p, roots, _classify_smallest(roots, paired)
-    )
+    adj, smallest = adjugate_from_pass(N, d), _classify_smallest(roots, paired)
+    return SpectrumEstimate(tuple(paired), converged, residual, p, adj, roots, smallest)
 
 
 def smallest_eigenvalue(A: ExactMatrix) -> SmallestEigen:
@@ -536,6 +518,7 @@ def perron_vector(M: ExactMatrix) -> tuple[float, np.ndarray]:
 @dataclass(frozen=True)
 class SpectralSummary:
     char_poly: Polynomial
+    adjoint: AdjointCheck
     smallest: SmallestEigen
     eigenvector_unit: tuple[float, ...] | None
     eigenvector_last1: tuple[float, ...] | None
@@ -594,16 +577,19 @@ def smallest_eig_vector(
     ``"none"``) when the smallest eigenvalue is not real, and when mu is
     exact with an eigenspace of dimension >= 2, which has no single
     eigenvector to sign.
+
+    The adjugate sign check is `adjoint_check` when given, else it is read
+    from the adjugate of the spectral pass: one Faddeev-LeVerrier pass on
+    A serves the whole chain.
     """
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
     spectrum = full_spectrum_numeric(A)
     p, smallest = spectrum.char_poly, spectrum.smallest
-    check = adjoint_check if adjoint_check is not None else check_adjoint_conclusion(A, tree)
+    check = adjoint_check if adjoint_check is not None else adjugate_sign_check(spectrum.adjugate, tree)
     if all(x == 0 for row in check.adjugate.rows for x in row):
         raise ArithmeticError("adjugate is identically zero: rank < n-1")
 
-    a_float = np.array(A.to_float_rows(), dtype=float)
     vector: np.ndarray | None = None
     exact_vector: list[Fraction] | None = None
     lam: float | None = None
@@ -651,29 +637,19 @@ def smallest_eig_vector(
         lam = float(shift)
         route = "inverse-iteration" if vector is not None else "none"
 
-    if vector is None:
-        return SpectralSummary(
-            char_poly=p,
-            smallest=smallest,
-            eigenvector_unit=None,
-            eigenvector_last1=None,
-            signed_ok=None,
-            signing=None,
-            full_spectrum=spectrum.values,
-            residual_inf=None,
-            route=route,
-        )
-
-    residual = float(np.abs(a_float @ vector - lam * vector).max())
-    unit, last1 = _normalizations(vector)
-    signing_input = exact_vector if exact_vector is not None else list(unit)
-    signing = is_signed_according_to(signing_input, tree)
+    residual = unit = last1 = signing = None
+    if vector is not None:
+        a_float = np.array(A.to_float_rows(), dtype=float)
+        residual = float(np.abs(a_float @ vector - lam * vector).max())
+        unit, last1 = _normalizations(vector)
+        signing = is_signed_according_to(exact_vector if exact_vector is not None else list(unit), tree)
     return SpectralSummary(
         char_poly=p,
+        adjoint=check,
         smallest=smallest,
         eigenvector_unit=unit,
         eigenvector_last1=last1,
-        signed_ok=signing.ok,
+        signed_ok=None if signing is None else signing.ok,
         signing=signing,
         full_spectrum=spectrum.values,
         residual_inf=residual,

@@ -58,8 +58,17 @@ class TestCheck:
         assert code == 2
 
     def test_dimension_mismatch_exit_2(self, capsys):
-        code, _, err = run(capsys, "check", "fixture:star4-example", "--tree", "star:5")
-        assert code == 2
+        # the size check belongs to the callee; main prints its ValueError
+        for argv in (
+            ["check"],
+            ["check", "--augmented"],
+            ["check", "--mode", "all-minors"],
+            ["spectrum"],
+        ):
+            code, out, err = run(capsys, argv[0], "fixture:star4-example", "--tree", "star:5", *argv[1:])
+            assert code == 2, argv
+            assert out == ""
+            assert err == "error: matrix is 4x4 but tree has 5 vertices\n"
 
     def test_bad_tree_spec_exit_2(self, capsys):
         code, _, err = run(capsys, "check", "fixture:star4-example", "--tree", "blob:4")

@@ -119,6 +119,13 @@ class TestTestConjecture:
         with pytest.raises(ValueError):
             run_conjecture(STAR4_EXAMPLE.matrix, make_star(5, 1))
 
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_dimension_mismatch_message(self, augmented):
+        # the hypothesis check raises it, before any spectral work
+        with pytest.raises(ValueError) as exc:
+            run_conjecture(STAR4_EXAMPLE.matrix, make_star(5, 1), augmented)
+        assert str(exc.value) == "matrix is 4x4 but tree has 5 vertices"
+
 
 class TestBatchVerify:
     def test_star4_small_batch_clean(self):

@@ -25,8 +25,7 @@ from treetp import (
 )
 from treetp import test_conjecture as run_conjecture
 import treetp
-from treetp import spectral
-from treetp.spectral import poly_gcd, squarefree_decomposition
+from treetp import exact_linalg, spectral
 from treetp.fixtures import (
     PITCHFORK_COUNTEREXAMPLE,
     STAR4_EXAMPLE,
@@ -50,6 +49,22 @@ def poly_of_matrix(p: Polynomial, A: ExactMatrix) -> ExactMatrix:
     return acc
 
 
+def _plus(a, b):
+    """Sum of two integer coefficient tuples, ascending."""
+    return spectral._trim(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+
+def _times(a, b):
+    """Product of two integer coefficient tuples, ascending."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 class TestPolynomial:
     def test_normalizes_trailing_zeros(self):
         assert Polynomial([1, 2, 0, 0]).degree == 1
@@ -59,28 +74,29 @@ class TestPolynomial:
         assert p(Fraction(1)) == 0 and p(3) == 2
 
     def test_divmod_reconstructs(self, rng):
+        # |lc(b)|^(deg a - deg b + 1) a = q b + r, with r the pseudo-remainder
         for _ in range(10):
-            a = Polynomial([rng.randint(-5, 5) for _ in range(6)])
-            b = Polynomial([rng.randint(-5, 5) for _ in range(3)])
-            if b.is_zero():
+            a = spectral._trim([rng.randint(-5, 5) for _ in range(6)])
+            b = spectral._trim([rng.randint(-5, 5) for _ in range(3)])
+            if not b:
                 continue
-            q, r = a.divmod(b)
-            assert q * b + r == a
-            assert r.degree < b.degree
+            r = spectral._pseudo_remainder(a, b)
+            scaled = tuple(abs(b[-1]) ** max(0, len(a) - len(b) + 1) * c for c in a)
+            q = spectral._exact_quotient(_plus(scaled, [-c for c in r]), b)
+            assert _plus(_times(q, b), r) == scaled
+            assert len(r) < len(b)
 
     def test_gcd_of_common_factor(self):
-        x_minus_1 = Polynomial([-1, 1])
-        a = x_minus_1 * Polynomial([3, 1])
-        b = x_minus_1 * Polynomial([5, 2])
-        assert poly_gcd(a, b) == x_minus_1.monic()
+        a = (-3, 2, 1)  # (x-1)(x+3)
+        b = (-5, 3, 2)  # (x-1)(2x+5)
+        assert spectral._gcd(a, b) == (-1, 1)
 
     def test_squarefree_decomposition(self):
-        p = Polynomial([-1, 1]) * Polynomial([-1, 1]) * Polynomial([2, 1])
-        factors = squarefree_decomposition(p)
-        assert [(f.coeffs, m) for f, m in factors] == [
-            ((Fraction(2), Fraction(1)), 1),
-            ((Fraction(-1), Fraction(1)), 2),
-        ]
+        p = (2, -3, 0, 1)  # (x-1)^2 (x+2)
+        expected = [((2, 1), 1), ((-1, 1), 2)]
+        assert spectral._squarefree_factors(p) == expected
+        # a negative, non-primitive multiple has the same primitive factors
+        assert spectral._squarefree_factors(tuple(-3 * c for c in p)) == expected
 
 
 class TestCharPoly:
@@ -137,8 +153,7 @@ class TestRealRoots:
             real_roots(Polynomial([]))
 
     def test_multiplicity(self):
-        cube = Polynomial([-1, 1]) * Polynomial([-1, 1]) * Polynomial([-1, 1])
-        roots = real_roots(cube * Polynomial([2, 1]))
+        roots = real_roots(Polynomial([-2, 5, -3, -1, 1]))  # (x-1)^3 (x+2)
         assert [(float(r.midpoint()), r.multiplicity) for r in roots] == [(-2.0, 1), (1.0, 3)]
 
     def test_exact_rational_root_is_point_interval(self):
@@ -168,13 +183,12 @@ class TestRealRoots:
             return lo, hi
 
         p = Polynomial([-2, 0, 3])  # roots +-sqrt(2/3)
-        ints = spectral._int_coeffs(p)
+        ints = (-2, 0, 3)
         for lo, hi in [(Fraction(1, 3), Fraction(7, 5)), (Fraction(-9, 7), Fraction(-2, 3))]:
             for width in (Fraction(1, 10), Fraction(1, 10**12), (hi - lo) / 4):
                 assert spectral._refine(ints, lo, hi, width) == fraction_bisection(p, lo, hi, width)
         # an exact root at a midpoint ends the bisection on it
-        q = Polynomial([-1, 2])
-        assert spectral._refine(spectral._int_coeffs(q), Fraction(0), Fraction(1), Fraction(1, 8)) == (
+        assert spectral._refine((-1, 2), Fraction(0), Fraction(1), Fraction(1, 8)) == (
             Fraction(1, 2),
             Fraction(1, 2),
         )
@@ -266,23 +280,42 @@ class TestSmallestEigenvalue:
         assert abs(s.estimate - (1 + 5j)) < 1e-6
 
     def test_one_root_isolation_per_instance(self, monkeypatch):
-        # each stage of the chain runs once and is passed down, not recomputed
+        # each stage of the chain runs once and is passed down, not
+        # recomputed: one Faddeev-LeVerrier pass on A per instance, on both
+        # eigenvector routes (passes on A - mu I in the inverse-iteration
+        # solve are not counted)
         calls = {}
 
-        def counted(name):
-            fn = getattr(spectral, name)
+        def counted(module, name, matrix=None):
+            fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
+                if matrix is None or args[0] == matrix:
+                    calls[name] = calls.get(name, 0) + 1
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(spectral, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("char_poly", "real_roots", "full_spectrum_numeric"):
-            counted(name)
-        A = ExactMatrix([[int(3 * x) + 1 for x in row] for row in STAR4_EXAMPLE.matrix.rows])
-        run_conjecture(A, make_star(4, 1))
-        assert calls == {"char_poly": 1, "real_roots": 1, "full_spectrum_numeric": 1}
+        scaled_star4 = ExactMatrix([[int(3 * x) + 1 for x in row] for row in STAR4_EXAMPLE.matrix.rows])
+        for A, tree, route in (
+            (scaled_star4, make_star(4, 1), "adjugate-perron"),
+            (STAR5_COUNTEREXAMPLE.matrix, STAR5_COUNTEREXAMPLE.tree, "inverse-iteration"),
+        ):
+            calls.clear()
+            monkeypatch.undo()
+            for name in ("real_roots", "full_spectrum_numeric"):
+                counted(spectral, name)
+            for module in (spectral, exact_linalg):
+                counted(module, "faddeev_leverrier", A)
+            verdict = run_conjecture(A, tree)
+            assert verdict.summary.route == route
+            assert calls == {"faddeev_leverrier": 1, "real_roots": 1, "full_spectrum_numeric": 1}
+
+    def test_verdict_reads_the_adjugate_of_its_pass(self):
+        A, tree = STAR5_COUNTEREXAMPLE.matrix, STAR5_COUNTEREXAMPLE.tree
+        verdict = run_conjecture(A, tree)
+        assert verdict.adjoint is verdict.summary.adjoint
+        assert verdict.adjoint == treetp.check_adjoint_conclusion(A, tree)
 
 
 def test_no_module_level_caches():
@@ -297,6 +330,18 @@ def test_no_module_level_caches():
         if callable(getattr(obj, "cache_clear", None))
     ]
     assert cached == []
+
+
+def test_no_rational_polynomial_algebra():
+    # root isolation runs on integer coefficient tuples; Polynomial only
+    # displays and evaluates, and the Fraction gcd and Yun are gone
+    deleted = (
+        "__add__", "__neg__", "__sub__", "__mul__", "scaled", "monic",
+        "divmod", "__floordiv__", "__mod__", "derivative",
+    )
+    assert [name for name in deleted if hasattr(Polynomial, name)] == []
+    assert not hasattr(spectral, "poly_gcd")
+    assert not hasattr(spectral, "squarefree_decomposition")
 
 
 class TestPerron:
@@ -415,6 +460,14 @@ class TestSmallestEigVector:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             smallest_eig_vector(ExactMatrix.identity(3), make_star(4, 1))
+
+    def test_one_vertex_tree(self):
+        # the 1x1 adjugate of the spectral pass is [1] (the empty minor),
+        # so the adjugate route applies: eigenvalue a, eigenvector [1]
+        s = smallest_eig_vector(ExactMatrix([[5]]), treetp.LabelledTree(1, []))
+        assert s.adjoint.ok and s.route == "adjugate-perron"
+        assert s.smallest.estimate == 5 and s.eigenvector_unit == (1.0,)
+        assert s.signed_ok is True
 
     def test_two_dimensional_eigenspace_reports_no_vector(self):
         # eigenvalue 1 has multiplicity 2 and A - I has rank 1: no single
