@@ -168,12 +168,20 @@ class ConjectureVerdict:
 
     @property
     def conclusion_ok(self) -> bool:
-        return (
-            self.adjoint.ok
-            and self.smallest.is_real
-            and self.smallest.is_simple is True
-            and self.eigenvector_signed is True
-        )
+        """The exact adjugate sign check alone; no float decides it.
+
+        With S the tree signing, ``adjoint.ok`` says that S adj(A) S is
+        entrywise positive.  If det A != 0, Perron-Frobenius makes det A/rho
+        the unique eigenvalue of least modulus, real and simple, with the
+        tree-signed eigenvector S w, w > 0 (Horn and Johnson, ch. 8).  If
+        det A = 0, adj A has rank one with every entry nonzero; its trace,
+        e_(n-1) of the eigenvalues, is then positive, so 0 is a simple
+        eigenvalue and the adjugate column, tree-signed, is its eigenvector.
+        When the check fails the conclusion fails with it.  The float
+        fields (`smallest.is_real`, `is_simple`, `eigenvector_signed`) only
+        describe: given the check, they have nothing left to decide.
+        """
+        return self.adjoint.ok
 
     @property
     def is_counterexample(self) -> bool:

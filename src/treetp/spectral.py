@@ -4,15 +4,17 @@
 ``exact_linalg`` on A once per instance; its result carries the
 characteristic polynomial and the adjugate from that pass, the root
 isolation and the numeric spectrum down the chain, with no module-level
-cache.  Realness and simplicity of the minimum-modulus eigenvalue are
-decided exactly: the polynomial is cleared to integers once, and Yun's
+cache.  The real roots and their multiplicities are decided
+exactly: the polynomial is cleared to integers once, and Yun's
 square-free decomposition (gcds by a primitive pseudo-remainder sequence),
 the Sturm sequences and the bisection (integer numerators over a
 power-of-two denominator) all run on primitive integer polynomials.
-Complex eigenvalues are estimated numerically, which is all they are
-needed for.  The eigenvector of the smallest eigenvalue prefers the
-adjugate route: when the adjugate is signature similar to a positive
-matrix, power iteration on that positive matrix is provably convergent.
+The n eigenvalue estimates come from one LAPACK ``eigvals`` call on A, not
+from the rounded polynomial, and the exact real roots sort them into real
+values and conjugate pairs; they describe the spectrum and decide no
+verdict.  The eigenvector of the smallest eigenvalue prefers the adjugate
+route: when the adjugate is signature similar to a positive matrix, power
+iteration on that positive matrix is provably convergent.
 Otherwise the ``inverse-iteration`` vector is read from a Faddeev-LeVerrier
 pass on A - mu I at the isolated eigenvalue mu: adj(A - mu I) 1 /
 det(A - mu I), or a nonzero adjugate column when mu is exact; an
@@ -34,7 +36,6 @@ from .positivity import AdjointCheck, adjugate_sign_check
 
 MODULUS_MARGIN_RTOL = 1e-9
 ISOLATION_WIDTH = Fraction(1, 10**12)
-RESIDUAL_TOL = 1e-9  # scaled residual under which the numeric spectrum counts as converged
 PERRON_RTOL = 1e-12
 PERRON_MAX_ITER = 100_000
 
@@ -324,77 +325,42 @@ def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInt
     return out
 
 
-def _roots_durand_kerner(p: Polynomial, tol: float) -> tuple[list[complex], bool, float]:
-    """(estimates, converged, worst scaled residual) for all roots of p."""
-    n = p.degree
-    if n < 1:
-        return [], True, 0.0
-    monic = [float(c / p.coeffs[-1]) for c in p.coeffs]
-    if n == 1:
-        return [complex(-monic[0])], True, 0.0
+def _pair_conjugates(
+    values: Sequence[complex], roots: Sequence[RootInterval]
+) -> tuple[list[complex], list[complex]]:
+    """Snap the estimates nearest each exact real root; pair the rest conjugately.
 
-    def eval_monic(z: complex) -> complex:
-        acc = complex(1.0)
-        for c in reversed(monic[:-1]):
-            acc = acc * z + c
-        return acc
-
-    radius = max(abs(monic[0]) ** (1.0 / n), 1e-3)
-    seed = 0.4 + 0.9j
-    z = [radius * seed**k for k in range(n)]
-    for _ in range(600):
-        moved = 0.0
-        for j in range(n):
-            denom = complex(1.0)
-            for k in range(n):
-                if k != j:
-                    denom *= z[j] - z[k]
-            if denom == 0:
-                z[j] *= 1 + 1e-12
-                continue
-            step = eval_monic(z[j]) / denom
-            z[j] -= step
-            moved = max(moved, abs(step) / (1.0 + abs(z[j])))
-        if moved < 1e-15:
-            break
-
-    def scaled_residual(w: complex) -> float:
-        scale = sum(abs(c) * max(1.0, abs(w)) ** k for k, c in enumerate(monic))
-        return abs(eval_monic(w)) / scale
-
-    worst = max(scaled_residual(w) for w in z)
-    return z, worst <= tol, worst
-
-
-def _pair_conjugates(values: Sequence[complex], n_real: int) -> list[complex]:
-    """Snap the n_real estimates nearest the real axis; pair the rest conjugately."""
-    order = sorted(range(len(values)), key=lambda i: (abs(values[i].imag), i))
-    out: list[complex | None] = [None] * len(values)
-    for i in order[:n_real]:
-        out[i] = complex(values[i].real)
-    rest = order[n_real:]
+    A root of multiplicity m takes its m nearest estimates.  The others
+    number n minus the exact real count, which is even, so each finds a
+    partner.  Returns the n values and the upper member of each pair, so
+    that a pair whose estimates average onto the real axis still counts
+    once, as a non-real eigenvalue.
+    """
+    out = list(values)
+    free = set(range(len(values)))
+    for r in roots:
+        mid = float(r.midpoint())
+        for _ in range(r.multiplicity):
+            i = min(free, key=lambda i: (abs(values[i] - mid), i))
+            free.remove(i)
+            out[i] = complex(values[i].real)
+    rest = sorted(free, key=lambda i: (abs(values[i].imag), i))
+    uppers: list[complex] = []
     used = set()
     for i in rest:
         if i in used:
             continue
-        best = None
-        for j in rest:
-            if j != i and j not in used:
-                d = abs(values[i] - values[j].conjugate())
-                if best is None or d < best[0]:
-                    best = (d, j)
-        if best is None:
-            out[i] = values[i]
-            continue
-        j = best[1]
-        used.add(i)
-        used.add(j)
+        j = min(
+            (j for j in rest if j != i and j not in used),
+            key=lambda j: abs(values[i] - values[j].conjugate()),
+        )
+        used.update((i, j))
         w = (values[i] + values[j].conjugate()) / 2
         if w.imag < 0:
             w = w.conjugate()
-        out[i] = w
-        out[j] = w.conjugate()
-    return [v for v in out if v is not None]
+        out[i], out[j] = w, w.conjugate()
+        uppers.append(w)
+    return out, uppers
 
 
 @dataclass(frozen=True)
@@ -410,37 +376,23 @@ class SmallestEigen:
     ambiguous: bool
 
 
-def _modulus_entities(rroots: Sequence[RootInterval], spectrum: Sequence[complex]):
-    """(modulus, kind, payload) per distinct eigenvalue; conjugate pairs count once."""
-    entities = []
-    for r in rroots:
-        mid = r.midpoint()
-        entities.append((abs(float(mid)), "real", r))
-    nonreal = [z for z in spectrum if z.imag > 0]
-    for z in nonreal:
-        entities.append((abs(z), "pair", z))
+def _classify_smallest(rroots: Sequence[RootInterval], pairs: Sequence[complex]) -> SmallestEigen:
+    """The least-modulus eigenvalue; a conjugate pair enters once, as its upper member."""
+    entities = [(abs(float(r.midpoint())), r) for r in rroots] + [(abs(z), z) for z in pairs]
     entities.sort(key=lambda t: t[0])
-    return entities
-
-
-def _classify_smallest(rroots: Sequence[RootInterval], spectrum: Sequence[complex]) -> SmallestEigen:
-    entities = _modulus_entities(rroots, spectrum)
-    m1, kind, payload = entities[0]
+    m1, payload = entities[0]
+    margin = float("inf")
     if len(entities) > 1:
         m2 = entities[1][0]
         margin = (m2 - m1) / m2 if m2 > 0 else 0.0
-        ambiguous = margin < MODULUS_MARGIN_RTOL
-    else:
-        margin = float("inf")
-        ambiguous = False
-    if kind == "real":
-        interval: RootInterval = payload
+    ambiguous = margin < MODULUS_MARGIN_RTOL
+    if isinstance(payload, RootInterval):
         return SmallestEigen(
-            estimate=complex(float(interval.midpoint())),
+            estimate=complex(float(payload.midpoint())),
             is_real=True,
-            is_simple=interval.multiplicity == 1,
-            multiplicity=interval.multiplicity,
-            interval=interval,
+            is_simple=payload.multiplicity == 1,
+            multiplicity=payload.multiplicity,
+            interval=payload,
             modulus_margin=margin,
             ambiguous=ambiguous,
         )
@@ -460,8 +412,6 @@ class SpectrumEstimate:
     """One instance's spectral pass, carried down the chain."""
 
     values: tuple[complex, ...]
-    converged: bool
-    max_scaled_residual: float
     char_poly: Polynomial
     adjugate: ExactMatrix
     roots: tuple[RootInterval, ...]
@@ -469,22 +419,24 @@ class SpectrumEstimate:
 
 
 def full_spectrum_numeric(A: ExactMatrix) -> SpectrumEstimate:
-    """All n eigenvalue estimates from the exact characteristic polynomial.
+    """All n eigenvalue estimates, from LAPACK on A's float rows.
 
-    Deterministic simultaneous iteration; complex estimates are forced
-    into exact conjugate pairs, with the count of real values taken from
-    the exact root isolation.  The result also holds the polynomial and
-    the adjugate, both read from one Faddeev-LeVerrier pass on A, the
-    isolated real roots and the classified minimum-modulus eigenvalue.
+    One ``np.linalg.eigvals`` call proposes the values; the exact root
+    isolation decides how many are real and near which roots they lie, and
+    the others are forced into exact conjugate pairs.  The estimates
+    describe the spectrum and decide no verdict.  The result also holds
+    the polynomial and the adjugate, both read from one Faddeev-LeVerrier
+    pass on A, the isolated real roots and the classified minimum-modulus
+    eigenvalue.
     """
     c, N, d = faddeev_leverrier(A)
     p = _char_poly(c, d)
     roots = tuple(real_roots(p, refine_to=ISOLATION_WIDTH))
-    values, converged, residual = _roots_durand_kerner(p, RESIDUAL_TOL)
-    paired = _pair_conjugates(values, sum(r.multiplicity for r in roots))
-    paired.sort(key=lambda z: (z.real, z.imag))
-    adj, smallest = adjugate_from_pass(N, d), _classify_smallest(roots, paired)
-    return SpectrumEstimate(tuple(paired), converged, residual, p, adj, roots, smallest)
+    estimates = np.linalg.eigvals(np.array(A.to_float_rows(), dtype=float))
+    values, pairs = _pair_conjugates([complex(z) for z in estimates], roots)
+    values.sort(key=lambda z: (z.real, z.imag))
+    adj, smallest = adjugate_from_pass(N, d), _classify_smallest(roots, pairs)
+    return SpectrumEstimate(tuple(values), p, adj, roots, smallest)
 
 
 def smallest_eigenvalue(A: ExactMatrix) -> SmallestEigen:

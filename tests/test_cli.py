@@ -184,6 +184,14 @@ class TestSpectrum:
         assert out == ""
         assert "--precision" in err
 
+    def test_pair_estimated_on_the_real_axis(self, capsys, tmp_path):
+        # eigenvalues 1e10 +- i, both estimated as 1e10 with no imaginary part
+        p = tmp_path / "pair.txt"
+        p.write_text(f"0 {-(10**20 + 1)}\n1 {2 * 10**10}\n")
+        code, out, err = run(capsys, "spectrum", str(p))
+        assert code == 0 and err == ""
+        assert "(complex, unknown multiplicity)" in out
+
     def test_rank_deficient_matrix_exit_2(self, capsys, tmp_path):
         p = tmp_path / "low.txt"
         p.write_text("0 0 0\n0 0 0\n0 0 1\n")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -103,17 +104,22 @@ class TestTestConjecture:
         assert v.is_counterexample
 
     def test_counterexample_implication(self):
-        # counterexample => hypotheses hold and some conclusion fails
+        # counterexample => hypotheses hold and the exact adjugate check fails
         for fixture in (STAR4_EXAMPLE, STAR5_COUNTEREXAMPLE, PITCHFORK_COUNTEREXAMPLE):
             v = run_conjecture(fixture.matrix, fixture.tree)
             if v.is_counterexample:
                 assert v.hypothesis.holds
-                assert (
-                    not v.adjoint.ok
-                    or v.eigenvector_signed is not True
-                    or not v.smallest.is_real
-                    or v.smallest.is_simple is not True
-                )
+                assert not v.adjoint.ok
+
+    def test_conclusion_reads_no_float(self):
+        # forged float fields cannot turn the exact check's answer around
+        v = run_conjecture(STAR4_EXAMPLE.matrix, STAR4_EXAMPLE.tree)
+        assert v.hypothesis.holds and v.adjoint.ok
+        complex_smallest = replace(v.smallest, is_real=False, is_simple=None, interval=None)
+        forged = replace(v, summary=replace(v.summary, smallest=complex_smallest, signed_ok=False))
+        assert forged.conclusion_ok and not forged.is_counterexample
+        failed = replace(v, summary=replace(v.summary, adjoint=replace(v.adjoint, ok=False)))
+        assert not failed.conclusion_ok and failed.is_counterexample
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

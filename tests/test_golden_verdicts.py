@@ -91,3 +91,23 @@ def test_cases_cover_every_route():
 @pytest.mark.parametrize("name", CASES)
 def test_verdict_is_pinned(name):
     assert json.loads(json.dumps(observe(name))) == GOLDEN[name]
+
+
+def test_adjugate_check_implies_the_float_conclusion():
+    # Perron-Frobenius cross-check: wherever the exact adjugate check holds,
+    # the descriptive float fields agree that the smallest eigenvalue is
+    # real and simple with a tree-signed eigenvector
+    data = json.loads(CORPUS.read_text())
+    inputs = [_case(name) for name in CASES] + [
+        (ExactMatrix(m), parse_tree_spec(c["tree"]), c["augmented"])
+        for c in data["categories"]
+        for m in c["matrices"]
+    ]
+    checked = 0
+    for A, tree, augmented in inputs:
+        v = verify(A, tree, augmented)
+        if v.adjoint.ok:
+            assert v.smallest.is_real and v.smallest.is_simple is True
+            assert v.eigenvector_signed is True
+            checked += 1
+    assert checked > 0

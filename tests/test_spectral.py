@@ -1,7 +1,10 @@
+import dataclasses
 import importlib
 import itertools
+import json
 import math
 import pkgutil
+import random
 import sys
 from fractions import Fraction
 
@@ -25,7 +28,8 @@ from treetp import (
 )
 from treetp import test_conjecture as run_conjecture
 import treetp
-from treetp import exact_linalg, spectral
+from treetp import exact_linalg, matrix_to_text, spectral
+from treetp.cli import main as cli_main
 from treetp.fixtures import (
     PITCHFORK_COUNTEREXAMPLE,
     STAR4_EXAMPLE,
@@ -244,8 +248,35 @@ class TestFullSpectrum:
             assert n_real_est == n_real_exact
 
     def test_converged_flag(self):
-        est = full_spectrum_numeric(STAR4_EXAMPLE.matrix)
-        assert est.converged and est.max_scaled_residual < 1e-9
+        # the estimates are roots of the exact polynomial to a scaled residual
+        for fixture in (STAR4_EXAMPLE, STAR5_COUNTEREXAMPLE, PITCHFORK_COUNTEREXAMPLE):
+            est = full_spectrum_numeric(fixture.matrix)
+            monic = [float(c / est.char_poly.coeffs[-1]) for c in est.char_poly.coeffs]
+            for w in est.values:
+                value = sum(c * w**k for k, c in enumerate(monic))
+                scale = sum(abs(c) * max(1.0, abs(w)) ** k for k, c in enumerate(monic))
+                assert abs(value) / scale < 1e-9
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, -(10**20 + 1)], [1, 2 * 10**10]],
+            [[0, -(10**20 + 1), 0], [1, 2 * 10**10, 0], [0, 0, 2 * 10**10]],
+        ],
+        ids=["2x2", "3x3"],
+    )
+    def test_pair_on_the_real_axis_counts_once(self, rows):
+        # eigenvalues 1e10 +- i (and 2e10); the float estimates of the pair
+        # are both 1e10 with no imaginary part, yet the pair stays non-real
+        # and is still the smallest in modulus
+        est = full_spectrum_numeric(ExactMatrix(rows))
+        assert len(est.values) == len(rows)
+        assert not est.smallest.is_real and est.smallest.interval is None
+        assert abs(est.smallest.estimate - 1e10) <= 1e-6 * 1e10
+        if len(rows) == 3:
+            assert [r.multiplicity for r in est.roots] == [1]
+            assert 2e10 in [z.real for z in est.values]
+            assert abs(est.smallest.modulus_margin - 0.5) < 1e-9
 
 
 class TestSmallestEigenvalue:
@@ -342,6 +373,51 @@ def test_no_rational_polynomial_algebra():
     assert [name for name in deleted if hasattr(Polynomial, name)] == []
     assert not hasattr(spectral, "poly_gcd")
     assert not hasattr(spectral, "squarefree_decomposition")
+
+
+def test_no_polynomial_root_finder():
+    # the estimates come from LAPACK on A; the iteration on the rounded
+    # polynomial and its never-read convergence fields are gone
+    assert not hasattr(spectral, "_roots_durand_kerner")
+    assert not hasattr(spectral, "RESIDUAL_TOL")
+    fields = {f.name for f in dataclasses.fields(spectral.SpectrumEstimate)}
+    assert fields.isdisjoint({"converged", "max_scaled_residual"})
+
+
+def _symmetric_big_6x6() -> list[list[int]]:
+    rng = random.Random(6)
+    rows = [[0] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i, 6):
+            rows[i][j] = rows[j][i] = rng.randint(1, 10**60)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[10**9, -1], [1, 10**9]],
+        [[3, 0, 0], [0, 10**9, -1], [0, 1, 10**9]],
+        _symmetric_big_6x6(),
+    ],
+    ids=["2x2-close-pair", "3x3-close-pair", "6x6-entries-1e60"],
+)
+def test_spectrum_cli_on_hard_polynomials(capsys, tmp_path, rows):
+    # inputs whose characteristic polynomial defeats a root finder on its
+    # rounded coefficients: a pair 1e9 +- i, and coefficients past 1e308
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_to_text(ExactMatrix(rows)))
+    assert cli_main(["spectrum", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    spectrum = [complex(*z) for z in data["spectrum"]]
+    assert len(spectrum) == len(rows)
+    if len(rows) < 6:
+        pair = sorted(z.imag for z in spectrum if abs(z.real - 1e9) < 1)
+        assert len(pair) == 2 and abs(pair[0] + 1) < 1e-6 and abs(pair[1] - 1) < 1e-6
+    else:
+        assert data["smallest"]["is_real"] and data["smallest"]["is_simple"]
+        expected = min(np.linalg.eigvalsh(np.array(rows, dtype=float)), key=abs)
+        assert abs(data["smallest"]["re"] - expected) <= 1e-9 * abs(expected)
 
 
 class TestPerron:
