@@ -53,7 +53,6 @@ from .spectral import (
     SpectralSummary,
     char_poly,
     full_spectrum_numeric,
-    perron_vector,
     real_roots,
     smallest_eig_vector,
     smallest_eigenvalue,

@@ -74,7 +74,9 @@ def _nonneg_int(text: str) -> int:
 
 
 def _fmt(x: float, precision: int) -> str:
-    return f"{x:.{precision}f}"
+    """Fixed decimals, or exponent form from 1e15 up, where fixed decimals
+    would print digits past a double's precision."""
+    return f"{x:.{precision}e}" if abs(x) >= 1e15 else f"{x:.{precision}f}"
 
 
 def cmd_check(args) -> int:

@@ -4,13 +4,13 @@ Everything here is exact; no operation ever rounds.  The work runs on
 Python integers: ``clear_denominators`` scales rationals to integers, so
 ``det`` and ``minor`` are fraction-free Bareiss eliminations on integer
 rows, and ``faddeev_leverrier`` is one integer pass on A = B/d that gives
-the characteristic polynomial's coefficients and, by Cayley-Hamilton, the
-adjugate (singular matrices included).  ``minor_value`` evaluates minors
-of an integer matrix up to 5x5 in straight-line closed forms and runs
-Bareiss only from 6x6 up; ``minor_evaluator`` binds one minor to its form
-once, and ``det`` stays the independent reference for both.  Minors are
-taken over *ordered* index lists, so permuting a list flips the sign of
-the corresponding minor.
+the characteristic polynomial's coefficients and every matrix coefficient
+of adj(xI - B), the adjugate among them (singular matrices included).
+``minor_value`` evaluates minors of an integer matrix up to 5x5 in
+straight-line closed forms and runs Bareiss only from 6x6 up;
+``minor_evaluator`` binds one minor to its form once, and ``det`` stays
+the independent reference for both.  Minors are taken over *ordered* index
+lists, so permuting a list flips the sign of the corresponding minor.
 """
 from __future__ import annotations
 
@@ -364,15 +364,15 @@ def minor(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
     return det(submatrix(A, rows, cols))
 
 
-def faddeev_leverrier(A: ExactMatrix) -> tuple[list[int], list[list[int]], int]:
-    """One integer Faddeev-LeVerrier pass: (c, N, d) with A = B/d, B integer.
+def faddeev_leverrier(A: ExactMatrix) -> tuple[list[int], list[list[list[int]]], int]:
+    """One integer Faddeev-LeVerrier pass: (c, Ns, d) with A = B/d, B integer.
 
     c[k] is the coefficient of x^k in det(xI - B), so det(xI - A) has
     coefficient c[k] / d^(n-k).  The recurrence N_0 = I,
     c[n-k] = -tr(B N_(k-1)) / k, N_k = B N_(k-1) + c[n-k] I runs on
     integers: the division by k is exact because every c[k] is an integer.
-    N is N_(n-1), and by Cayley-Hamilton B N_(n-1) = -c[0] I, so
-    adj(B) = (-1)^(n+1) N_(n-1) for every B, singular included.
+    Ns = [N_0, ..., N_(n-1)] gives adj(xI - B) = sum_k x^(n-1-k) N_k, and
+    at x = 0 adj(B) = (-1)^(n+1) N_(n-1) for every B, singular included.
     """
     n = A.n
     ints, d = clear_denominators(x for row in A.rows for x in row)
@@ -381,6 +381,7 @@ def faddeev_leverrier(A: ExactMatrix) -> tuple[list[int], list[list[int]], int]:
     c = [0] * (n + 1)
     c[n] = 1
     N = [[int(i == j) for j in range(n)] for i in range(n)]
+    Ns = [N]
     for k in range(1, n):
         N_cols = list(zip(*N))
         N = [[sum(map(operator.mul, row, col)) for col in N_cols] for row in B]
@@ -389,26 +390,27 @@ def faddeev_leverrier(A: ExactMatrix) -> tuple[list[int], list[list[int]], int]:
         c[n - k] = q
         for i in range(n):
             N[i][i] += q
+        Ns.append(N)
     # the last step needs only tr(B N_(n-1))
     q, r = divmod(-sum(sum(map(operator.mul, N[j], cols[j])) for j in range(n)), n)
     assert r == 0, "Faddeev-LeVerrier trace not divisible by n"
     c[0] = q
-    return c, N, d
+    return c, Ns, d
 
 
-def adjugate_from_pass(N: list[list[int]], d: int) -> ExactMatrix:
-    """adj(A) = (-1)^(n+1) N_(n-1) / d^(n-1) from `faddeev_leverrier(A)`'s N and d."""
-    n = len(N)
+def adjugate_from_pass(Ns: list[list[list[int]]], d: int) -> ExactMatrix:
+    """adj(A) = (-1)^(n+1) N_(n-1) / d^(n-1) from `faddeev_leverrier(A)`'s Ns and d."""
+    n = len(Ns)
     sign, scale = (-1) ** (n + 1), d ** (n - 1)
-    return ExactMatrix([[Fraction(sign * x, scale) for x in row] for row in N])
+    return ExactMatrix([[Fraction(sign * x, scale) for x in row] for row in Ns[-1]])
 
 
 def adjugate(A: ExactMatrix) -> ExactMatrix:
     """Exact adjugate, valid for singular matrices too (`adjugate_from_pass`)."""
     if A.n < 2:
         raise ValueError("adjugate requires n >= 2")
-    _, N, d = faddeev_leverrier(A)
-    return adjugate_from_pass(N, d)
+    _, Ns, d = faddeev_leverrier(A)
+    return adjugate_from_pass(Ns, d)
 
 
 def _minor_or_one(A: ExactMatrix, rows: IndexList, cols: IndexList) -> Fraction:

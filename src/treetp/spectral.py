@@ -12,18 +12,16 @@ power-of-two denominator) all run on primitive integer polynomials.
 The n eigenvalue estimates come from one LAPACK ``eigvals`` call on A, not
 from the rounded polynomial, and the exact real roots sort them into real
 values and conjugate pairs; they describe the spectrum and decide no
-verdict.  The eigenvector of the smallest eigenvalue prefers the adjugate
-route: when the adjugate is signature similar to a positive matrix, power
-iteration on that positive matrix is provably convergent.
-Otherwise the ``inverse-iteration`` vector is read from a Faddeev-LeVerrier
-pass on A - mu I at the isolated eigenvalue mu: adj(A - mu I) 1 /
-det(A - mu I), or a nonzero adjugate column when mu is exact; an
-eigenspace of dimension >= 2 reports no vector.
+verdict.  Every eigenvector is read exactly from the same pass, which
+keeps every N_k of adj(xI - A): (A - mu I) x = r is solved at a rational
+shift mu, or a kernel column of adj(mu I - A) is taken when mu is an
+eigenvalue; an eigenspace of dimension >= 2 reports no vector.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -36,8 +34,6 @@ from .positivity import AdjointCheck, adjugate_sign_check
 
 MODULUS_MARGIN_RTOL = 1e-9
 ISOLATION_WIDTH = Fraction(1, 10**12)
-PERRON_RTOL = 1e-12
-PERRON_MAX_ITER = 100_000
 
 
 class Polynomial:
@@ -414,6 +410,7 @@ class SpectrumEstimate:
     values: tuple[complex, ...]
     char_poly: Polynomial
     adjugate: ExactMatrix
+    faddeev: tuple[list[int], list[list[list[int]]], int]  # (c, Ns, d) of the pass on A
     roots: tuple[RootInterval, ...]
     smallest: SmallestEigen
 
@@ -425,46 +422,23 @@ def full_spectrum_numeric(A: ExactMatrix) -> SpectrumEstimate:
     isolation decides how many are real and near which roots they lie, and
     the others are forced into exact conjugate pairs.  The estimates
     describe the spectrum and decide no verdict.  The result also holds
-    the polynomial and the adjugate, both read from one Faddeev-LeVerrier
-    pass on A, the isolated real roots and the classified minimum-modulus
-    eigenvalue.
+    one Faddeev-LeVerrier pass on A with the polynomial and the adjugate
+    read from it, the isolated real roots and the classified
+    minimum-modulus eigenvalue.
     """
-    c, N, d = faddeev_leverrier(A)
+    c, Ns, d = faddeev = faddeev_leverrier(A)
     p = _char_poly(c, d)
     roots = tuple(real_roots(p, refine_to=ISOLATION_WIDTH))
     estimates = np.linalg.eigvals(np.array(A.to_float_rows(), dtype=float))
     values, pairs = _pair_conjugates([complex(z) for z in estimates], roots)
     values.sort(key=lambda z: (z.real, z.imag))
-    adj, smallest = adjugate_from_pass(N, d), _classify_smallest(roots, pairs)
-    return SpectrumEstimate(tuple(values), p, adj, roots, smallest)
+    adj, smallest = adjugate_from_pass(Ns, d), _classify_smallest(roots, pairs)
+    return SpectrumEstimate(tuple(values), p, adj, faddeev, roots, smallest)
 
 
 def smallest_eigenvalue(A: ExactMatrix) -> SmallestEigen:
     """Identify and classify the eigenvalue of minimum modulus."""
     return full_spectrum_numeric(A).smallest
-
-
-def perron_vector(M: ExactMatrix) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and positive eigenvector of a positive matrix.
-
-    Power iteration with Collatz-Wielandt bracketing, stopped when the
-    bracket is within PERRON_RTOL; the returned vector has unit max entry.
-    """
-    if any(x <= 0 for row in M.rows for x in row):
-        raise ValueError("matrix must be entrywise positive")
-    mat = np.array(M.to_float_rows(), dtype=float)
-    n = mat.shape[0]
-    v = np.ones(n)
-    value = float(mat.sum() / n)
-    for _ in range(PERRON_MAX_ITER):
-        w = mat @ v
-        ratios = w / v
-        lo, hi = float(ratios.min()), float(ratios.max())
-        value = (lo + hi) / 2
-        v = w / w.max()
-        if hi - lo <= PERRON_RTOL * hi:
-            break
-    return value, v
 
 
 @dataclass(frozen=True)
@@ -481,23 +455,39 @@ class SpectralSummary:
     route: str
 
 
-def _solve_ones_or_kernel(B: ExactMatrix) -> tuple[list[Fraction] | None, bool]:
-    """Exact B x = 1, or a kernel vector of B, from one Faddeev-LeVerrier pass.
+def _solve_shifted(
+    faddeev: tuple[list[int], list[list[list[int]]], int], mu: Fraction, r: Sequence[int]
+) -> tuple[list[Fraction] | None, bool]:
+    """Exact (A - mu I) x = r, or a kernel vector of A - mu I, from A's pass.
 
-    With B = M/d, M integer, the pass gives det(M) = (-1)^n c[0] and
-    adj(M) = (-1)^(n+1) N.  Returns (x, False) with x = -d (N 1) / c[0]
-    when B is invertible.  Otherwise returns (v, True): at rank n-1,
-    adj(M) has rank 1 and its first nonzero column, divided by its last
-    nonzero entry, is the kernel vector v; at rank n-2 or less adj(M) = 0,
-    the kernel has dimension >= 2 and v is None.
+    With A = B/d and t = d mu = P/Q, det(tI - B) = D / Q^n with
+    D = sum_k c[k] P^k Q^(n-k), and adj(tI - B) = M / Q^(n-1) with
+    M = sum_k P^(n-1-k) Q^k N_k.  Returns (x, False) with
+    x = -d Q (M r) / D when D != 0.  Otherwise returns (v, True): at rank
+    n-1, M has rank 1 and its first nonzero column, divided by its last
+    nonzero entry, is the kernel vector v; at rank n-2 or less M = 0, the
+    kernel has dimension >= 2 and v is None.
     """
-    c, N, d = faddeev_leverrier(B)
-    if c[0] != 0:
-        return [Fraction(-d * sum(row), c[0]) for row in N], False
-    col = next((j for j in range(B.n) if any(row[j] for row in N)), None)
+    c, Ns, d = faddeev
+    n = len(Ns)
+    t = d * Fraction(mu)
+    P, Q = t.numerator, t.denominator
+
+    def horner(terms):  # sum_k P^(n-1-k) Q^k terms[k], entrywise
+        acc = [0] * len(terms[0])
+        for k, term in enumerate(terms):
+            acc = [P * a + Q**k * x for a, x in zip(acc, term)]
+        return acc
+
+    D = sum(ck * P**k * Q ** (n - k) for k, ck in enumerate(c))
+    if D != 0:
+        Mr = horner([[sum(map(operator.mul, row, r)) for row in N] for N in Ns])
+        return [Fraction(-d * Q * x, D) for x in Mr], False
+    M = horner([[x for row in N for x in row] for N in Ns])
+    col = next((j for j in range(n) if any(M[j::n])), None)
     if col is None:
         return None, True
-    v = [row[col] for row in N]
+    v = M[col::n]
     last = next(x for x in reversed(v) if x)
     return [Fraction(x, last) for x in v], True
 
@@ -514,87 +504,69 @@ def _normalizations(v: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]
     return tuple(float(x) for x in unit), last1
 
 
-def smallest_eig_vector(
-    A: ExactMatrix,
-    tree: LabelledTree,
-    adjoint_check: AdjointCheck | None = None,
-) -> SpectralSummary:
+def _least_modulus_shift(p: Polynomial, roots: Sequence[RootInterval], det_a: Fraction) -> Fraction:
+    """A rational mu with |mu| <= |lambda| and mu det(A) >= 0, equality only at lambda.
+
+    lambda is the simple least-modulus eigenvalue that the adjugate check
+    proves.  Its interval is cut at 0 and bisected on p to a width of at
+    most 2^-53 |mu|, whatever the scale of A, so that the vector's error,
+    about 2^-53 |lambda| / gap, is that of a backward-stable float solver.
+    """
+    if det_a > 0:
+        r = next(r for r in roots if r.hi > 0)
+        lo, hi = max(r.lo, 0), r.hi
+    else:
+        r = next(r for r in reversed(roots) if r.lo < 0)
+        lo, hi = r.lo, min(r.hi, 0)
+    f = _primitive(clear_denominators(p.coeffs)[0])
+    while (hi - lo) * 2**53 > min(abs(lo), abs(hi)):
+        lo, hi = _refine(f, lo, hi, (hi - lo) / 2)
+    return lo if det_a > 0 else hi
+
+
+def smallest_eig_vector(A: ExactMatrix, tree: LabelledTree) -> SpectralSummary:
     """Eigenvector of the smallest eigenvalue, with its tree-signing verdict.
 
-    Prefers the signature-conjugated adjugate (a positive matrix whose
-    Perron vector is the wanted eigenvector, up to signs); falls back to
-    inverse iteration at the exactly isolated smallest real eigenvalue mu,
-    one exact solve of (A - mu I) x = 1 read from the Faddeev-LeVerrier
-    pass on A - mu I (`_solve_ones_or_kernel`).  Reports no vector (route
-    ``"none"``) when the smallest eigenvalue is not real, and when mu is
-    exact with an eigenspace of dimension >= 2, which has no single
-    eigenvector to sign.
-
-    The adjugate sign check is `adjoint_check` when given, else it is read
-    from the adjugate of the spectral pass: one Faddeev-LeVerrier pass on
-    A serves the whole chain.
+    Every route reads one exact vector x from the pass on A
+    (`_solve_shifted`), signs x exactly and rounds it only for display.
+    When the adjugate check holds, (A - mu I) x = S, the tree signing, with
+    mu from `_least_modulus_shift` (0 when det A = 0): then
+    S (A - mu I)^-1 S = sum_k mu^k S A^-(k+1) S has entries of one strict
+    sign, so x is tree-signed, and x is the eigenvector when mu = lambda.
+    Otherwise ``inverse-iteration`` solves (A - mu I) x = 1 at the midpoint
+    mu of the smallest real eigenvalue's interval.  Reports no vector
+    (route ``"none"``) when that eigenvalue is not real, and when mu is
+    exact with an eigenspace of dimension >= 2.
     """
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
     spectrum = full_spectrum_numeric(A)
-    p, smallest = spectrum.char_poly, spectrum.smallest
-    check = adjoint_check if adjoint_check is not None else adjugate_sign_check(spectrum.adjugate, tree)
+    p, smallest, roots = spectrum.char_poly, spectrum.smallest, spectrum.roots
+    check = adjugate_sign_check(spectrum.adjugate, tree)
     if all(x == 0 for row in check.adjugate.rows for x in row):
         raise ArithmeticError("adjugate is identically zero: rank < n-1")
 
-    vector: np.ndarray | None = None
-    exact_vector: list[Fraction] | None = None
-    lam: float | None = None
-    route = "none"
-
+    route, rhs = "none", None
     if check.ok:
-        d = (-1) ** A.n * p.coeffs[0]  # det(A) = (-1)^n p(0)
-        signs = tree_signing(tree, 1)
-        if d != 0:
-            conj = ExactMatrix(
-                [
-                    [signs[i] * signs[j] * check.adjugate.rows[i][j] for j in range(A.n)]
-                    for i in range(A.n)
-                ]
-            )
-            rho, w = perron_vector(conj)
-            vector = np.array([signs[i] * w[i] for i in range(A.n)])
-            lam = float(d) / rho
-            route = "adjugate-perron"
-        else:
-            # check.ok matched every entry against a +-1 pattern, so none is 0
-            exact_vector = list(check.adjugate.column(1))
-            vector = np.array([float(x) for x in exact_vector])
-            lam = 0.0
-            route = "adjugate-column"
+        det_a = (-1) ** A.n * p.coeffs[0]  # det(A) = (-1)^n p(0)
+        mu = _least_modulus_shift(p, roots, det_a) if det_a else 0
+        route = "adjugate-perron" if det_a else "adjugate-column"
+        rhs = tree_signing(tree, 1)
     elif smallest.is_real and not smallest.ambiguous:
-        interval = smallest.interval
-        shift = interval.midpoint()
-        shifted = ExactMatrix(
-            [
-                [A.rows[i][j] - (shift if i == j else 0) for j in range(A.n)]
-                for i in range(A.n)
-            ]
-        )
-        solution, singular = _solve_ones_or_kernel(shifted)
-        if singular:
-            # the midpoint hit the eigenvalue exactly; take the exact kernel
-            # vector, None when the eigenspace has dimension >= 2
-            exact_vector = solution
-            if solution is not None:
-                vector = np.array([float(x) for x in exact_vector])
-        else:
-            biggest = max(abs(x) for x in solution)
-            vector = np.array([float(x / biggest) for x in solution])
-        lam = float(shift)
-        route = "inverse-iteration" if vector is not None else "none"
+        mu, route, rhs = smallest.interval.midpoint(), "inverse-iteration", [1] * A.n
 
-    residual = unit = last1 = signing = None
-    if vector is not None:
+    residual = unit = last1 = signing = exact = None
+    if rhs is not None:
+        exact, singular = _solve_shifted(spectrum.faddeev, mu, rhs)
+    if exact is None:
+        route = "none"
+    else:
+        scale = 1 if singular else max(abs(x) for x in exact)
+        vector = np.array([float(x / scale) for x in exact])
         a_float = np.array(A.to_float_rows(), dtype=float)
-        residual = float(np.abs(a_float @ vector - lam * vector).max())
+        residual = float(np.abs(a_float @ vector - float(mu) * vector).max())
         unit, last1 = _normalizations(vector)
-        signing = is_signed_according_to(exact_vector if exact_vector is not None else list(unit), tree)
+        signing = is_signed_according_to(exact, tree)
     return SpectralSummary(
         char_poly=p,
         adjoint=check,

@@ -139,7 +139,7 @@ def test_criterion_4_star4_property_suite():
         m, _ = _generate_slot(cfg, slot)
         assert m is not None, "generation exhausted"
         adj_check = check_adjoint_conclusion(m, tree)
-        summary = smallest_eig_vector(m, tree, adjoint_check=adj_check)
+        summary = smallest_eig_vector(m, tree)
         unit = summary.eigenvector_unit
         signs_ok = (
             summary.signed_ok is True

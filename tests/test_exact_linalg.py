@@ -213,12 +213,27 @@ class TestFaddeevLeVerrier:
     def test_integer_pass_scales_back(self, rng):
         for n in (2, 3, 4, 5):
             A = random_rational_matrix(rng, n)
-            c, N, d = faddeev_leverrier(A)
+            c, Ns, d = faddeev_leverrier(A)
             assert all(isinstance(x, int) for x in c)
-            assert all(isinstance(x, int) for row in N for x in row)
+            assert len(Ns) == n
+            assert all(isinstance(x, int) for N in Ns for row in N for x in row)
             assert all(x * d == int(x * d) for row in A.rows for x in row)
             assert Fraction(c[0], d**n) == (-1) ** n * det(A)
             assert c[n] == 1
+            # adj(xI - B) = sum_k x^(n-1-k) N_k, B = dA
+            B = A.scaled(d)
+            for x in (-3, 0, 7):
+                adj_x = ExactMatrix(
+                    [
+                        [sum(x ** (n - 1 - k) * N[i][j] for k, N in enumerate(Ns)) for j in range(n)]
+                        for i in range(n)
+                    ]
+                )
+                xI_minus_B = ExactMatrix(
+                    [[x * (i == j) - B.rows[i][j] for j in range(n)] for i in range(n)]
+                )
+                p_x = sum(ck * x**k for k, ck in enumerate(c))
+                assert xI_minus_B * adj_x == ExactMatrix.identity(n).scaled(p_x)
 
     def test_clear_denominators(self):
         ints, d = clear_denominators([Fraction(1, 6), Fraction(-3, 4), Fraction(2)])

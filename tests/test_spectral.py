@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import itertools
 import json
 import math
@@ -20,7 +21,6 @@ from treetp import (
     full_spectrum_numeric,
     make_path,
     make_star,
-    perron_vector,
     real_roots,
     smallest_eig_vector,
     smallest_eigenvalue,
@@ -312,17 +312,15 @@ class TestSmallestEigenvalue:
 
     def test_one_root_isolation_per_instance(self, monkeypatch):
         # each stage of the chain runs once and is passed down, not
-        # recomputed: one Faddeev-LeVerrier pass on A per instance, on both
-        # eigenvector routes (passes on A - mu I in the inverse-iteration
-        # solve are not counted)
+        # recomputed: one Faddeev-LeVerrier pass per instance, whatever its
+        # argument, on every eigenvector route
         calls = {}
 
-        def counted(module, name, matrix=None):
+        def counted(module, name):
             fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                if matrix is None or args[0] == matrix:
-                    calls[name] = calls.get(name, 0) + 1
+                calls[name] = calls.get(name, 0) + 1
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
@@ -330,6 +328,7 @@ class TestSmallestEigenvalue:
         scaled_star4 = ExactMatrix([[int(3 * x) + 1 for x in row] for row in STAR4_EXAMPLE.matrix.rows])
         for A, tree, route in (
             (scaled_star4, make_star(4, 1), "adjugate-perron"),
+            (ExactMatrix([[1, 2], [2, 4]]), make_path((1, 2)), "adjugate-column"),
             (STAR5_COUNTEREXAMPLE.matrix, STAR5_COUNTEREXAMPLE.tree, "inverse-iteration"),
         ):
             calls.clear()
@@ -337,7 +336,7 @@ class TestSmallestEigenvalue:
             for name in ("real_roots", "full_spectrum_numeric"):
                 counted(spectral, name)
             for module in (spectral, exact_linalg):
-                counted(module, "faddeev_leverrier", A)
+                counted(module, "faddeev_leverrier")
             verdict = run_conjecture(A, tree)
             assert verdict.summary.route == route
             assert calls == {"faddeev_leverrier": 1, "real_roots": 1, "full_spectrum_numeric": 1}
@@ -384,6 +383,15 @@ def test_no_polynomial_root_finder():
     assert fields.isdisjoint({"converged", "max_scaled_residual"})
 
 
+def test_one_eigenvector_algorithm():
+    # every route reads its vector exactly from the pass on A: the power
+    # iteration, its cap and the second pass on A - mu I are gone
+    deleted = ("perron_vector", "PERRON_RTOL", "PERRON_MAX_ITER", "_solve_ones_or_kernel")
+    assert [name for name in deleted if hasattr(spectral, name)] == []
+    assert not hasattr(treetp, "perron_vector")
+    assert "adjoint_check" not in inspect.signature(smallest_eig_vector).parameters
+
+
 def _symmetric_big_6x6() -> list[list[int]]:
     rng = random.Random(6)
     rows = [[0] * 6 for _ in range(6)]
@@ -420,49 +428,19 @@ def test_spectrum_cli_on_hard_polynomials(capsys, tmp_path, rows):
         assert abs(data["smallest"]["re"] - expected) <= 1e-9 * abs(expected)
 
 
-class TestPerron:
-    def test_ones_matrix(self):
-        value, vec = perron_vector(ExactMatrix([[1, 1], [1, 1]]))
-        assert abs(value - 2) < 1e-10
-        assert np.allclose(vec, [1, 1])
-
-    def test_signature_conjugated_adjugate_is_positive_and_matches(self):
-        A, tree = STAR4_EXAMPLE.matrix, STAR4_EXAMPLE.tree
-        from treetp import adjugate
-
-        adj = adjugate(A)
-        s = tree_signing(tree, 1)
-        conj = ExactMatrix(
-            [[s[i] * s[j] * adj.rows[i][j] for j in range(4)] for i in range(4)]
-        )
-        assert all(x > 0 for row in conj.rows for x in row)
-        value, vec = perron_vector(conj)
-        expected = np.abs(np.array(STAR4_EXAMPLE.expected_eigenvector_last1))
-        got = vec / vec[-1]
-        assert np.max(np.abs(got - expected)) <= 0.01
-
-    def test_perron_value_equals_det_over_smallest(self):
-        A, tree = STAR4_EXAMPLE.matrix, STAR4_EXAMPLE.tree
-        from treetp import adjugate
-
-        adj = adjugate(A)
-        s = tree_signing(tree, 1)
-        conj = ExactMatrix(
-            [[s[i] * s[j] * adj.rows[i][j] for j in range(4)] for i in range(4)]
-        )
-        value, _ = perron_vector(conj)
-        lam = smallest_eigenvalue(A).estimate.real
-        assert abs(value - float(det(A)) / lam) / value <= 1e-6
-
-    def test_positive_output(self, rng):
-        for _ in range(5):
-            A = random_int_matrix(rng, 4, lo=1, hi=50)
-            value, vec = perron_vector(A)
-            assert value > 0 and (vec > 0).all()
-
-    def test_rejects_nonpositive_input(self):
-        with pytest.raises(ValueError):
-            perron_vector(ExactMatrix([[1, 0], [1, 1]]))
+@pytest.mark.parametrize("precision", ["2", "6"])
+def test_spectrum_cli_prints_huge_values_in_exponent_form(capsys, tmp_path, precision):
+    # the smallest eigenvalue (an interval midpoint) and its spectrum entry
+    # (an eigvals estimate) agree to a double's digits, so they print alike
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_to_text(ExactMatrix(_symmetric_big_6x6())))
+    assert cli_main(["spectrum", str(path), "--precision", precision]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    smallest = lines[0].removeprefix("smallest eigenvalue: ").split(" (")[0]
+    spectrum = lines[1].removeprefix("spectrum: ").split(", ")
+    assert smallest in spectrum
+    assert all("e+" in value for value in spectrum)
+    assert len(smallest.split("e")[0].split(".")[1]) == int(precision)
 
 
 class TestSmallestEigVector:
@@ -545,6 +523,35 @@ class TestSmallestEigVector:
         assert s.smallest.estimate == 5 and s.eigenvector_unit == (1.0,)
         assert s.signed_ok is True
 
+    @pytest.mark.parametrize(
+        "rows, tree",
+        [
+            ([[10**6, 1], [1, 10**6 + 1]], make_path((1, 2))),
+            ([[10**8, 1], [1, 10**8 + 1]], make_path((1, 2))),
+            ([[10**6, 1, 1], [1, 10**6 + 1, 0], [1, 0, 10**6 + 2]], make_star(3, 1)),
+            # det A < 0: mu is taken from below 0
+            ([[-(10**6), -1, -1], [-1, -(10**6) - 1, 0], [-1, 0, -(10**6) - 2]], make_star(3, 1)),
+            # eigenvalues near 1e-14, below the isolation width of 1e-12
+            ([[Fraction(10**6, 10**20), Fraction(1, 10**20)], [Fraction(1, 10**20), Fraction(10**6 + 1, 10**20)]],
+             make_path((1, 2))),
+        ],
+        ids=["2x2-1e6", "2x2-1e8", "star3-1e6", "star3-1e6-negated", "2x2-1e6-scaled-down"],
+    )
+    def test_near_tie_adjugate_route(self, rows, tree):
+        # the two smallest eigenvalues nearly tie, so a power iteration on
+        # the conjugated adjugate stalls far from its limit; the exact read
+        # from the pass does not, also when the eigenvalues are negative or
+        # smaller than the width of their isolating intervals
+        A = ExactMatrix(rows)
+        s = smallest_eig_vector(A, tree)
+        assert s.route == "adjugate-perron" and s.signed_ok is True
+        a = np.array(rows, dtype=float)
+        vals, vecs = np.linalg.eigh(a)
+        want = vecs[:, np.argmin(np.abs(vals))]
+        want = want / want[-1]
+        assert np.max(np.abs(np.array(s.eigenvector_last1) - want)) <= 1e-8
+        assert s.residual_inf <= 1e-8 * np.abs(a).sum(axis=1).max()
+
     def test_two_dimensional_eigenspace_reports_no_vector(self):
         # eigenvalue 1 has multiplicity 2 and A - I has rank 1: no single
         # eigenvector to sign, so no vector and no signing verdict
@@ -580,10 +587,14 @@ def _low_rank(rng, n: int, rank: int, den_bits: int) -> list[list[Fraction]]:
 
 
 class TestSolveOnesOrKernel:
-    """`_solve_ones_or_kernel` against exact products and Bareiss ranks."""
+    """`_solve_shifted` with r = 1 against exact products and Bareiss ranks."""
 
-    def _check(self, B: ExactMatrix, seen: set) -> None:
-        x, singular = spectral._solve_ones_or_kernel(B)
+    def _check(self, A: ExactMatrix, mu: Fraction, seen: set) -> None:
+        x, singular = spectral._solve_shifted(exact_linalg.faddeev_leverrier(A), mu, [1] * A.n)
+        # B = A - mu I is built here only, as the checker
+        B = ExactMatrix(
+            [[A.rows[i][j] - (mu if i == j else 0) for j in range(A.n)] for i in range(A.n)]
+        )
         kind = _rank_class(B)
         seen.add(kind)
         if kind == "low":
@@ -605,7 +616,7 @@ class TestSolveOnesOrKernel:
                 B = random_int_matrix(rng, n, -2, 2)
             else:
                 B = ExactMatrix(_low_rank(rng, n, rng.randint(0, n), 0))
-            self._check(B, seen)
+            self._check(B, Fraction(0), seen)
         assert seen == {"full", "n-1", "low"}
 
     def test_rational_matrices_shifted_by_dyadic_mu(self, rng):
@@ -620,10 +631,5 @@ class TestSolveOnesOrKernel:
                 base = _low_rank(rng, n, rng.randint(0, n), 45)
                 for i in range(n):
                     base[i][i] += mu
-            A = ExactMatrix(base)
-            # the shift exactly as smallest_eig_vector builds it
-            B = ExactMatrix(
-                [[A.rows[i][j] - (mu if i == j else 0) for j in range(n)] for i in range(n)]
-            )
-            self._check(B, seen)
+            self._check(ExactMatrix(base), mu, seen)
         assert seen == {"full", "n-1", "low"}
