@@ -297,10 +297,10 @@ def batch_verify(
     """
     if trials < 0:
         raise ValueError(f"trials must be 0 or more, got {trials}")
-    workers = max(1, workers)
+    workers = max(1, min(workers, trials))
     slots = list(range(trials))
     compiled = _compile(cfg)
-    if workers == 1 or trials <= 1:
+    if workers == 1:
         results = [_run_slot(cfg, compiled, s, _lane) for s in slots]
     else:
         chunks = [(cfg, compiled, slots[w::workers], _lane) for w in range(workers)]

@@ -444,11 +444,8 @@ def sylvester_rhs(A: ExactMatrix, alpha: Sequence[int], beta: Sequence[int]) -> 
 
 
 def sign_pattern(A: ExactMatrix) -> SignMatrix:
-    """Entrywise exact signs; zero maps to 0."""
-    def sgn(x: Fraction) -> int:
-        return (x > 0) - (x < 0)
-
-    return SignMatrix([[sgn(x) for x in row] for row in A.rows])
+    """Entrywise exact signs, read from the numerators; zero maps to 0."""
+    return SignMatrix([[(x.numerator > 0) - (x.numerator < 0) for x in row] for row in A.rows])
 
 
 # --- matrix text format -------------------------------------------------

@@ -13,9 +13,10 @@ The n eigenvalue estimates come from one LAPACK ``eigvals`` call on A, not
 from the rounded polynomial, and the exact real roots sort them into real
 values and conjugate pairs; they describe the spectrum and decide no
 verdict.  Every eigenvector is read exactly from the same pass, which
-keeps every N_k of adj(xI - A): (A - mu I) x = r is solved at a rational
-shift mu, or a kernel column of adj(mu I - A) is taken when mu is an
-eigenvalue; an eigenspace of dimension >= 2 reports no vector.
+keeps every N_k of adj(xI - A): (A - mu I) x = S, S the tree signing, is
+solved at mu within 2^-53 |mu| of the least-modulus eigenvalue lambda,
+or a kernel column of adj(mu I - A) is taken when mu = lambda; an
+eigenspace of dimension >= 2 reports no vector.
 """
 from __future__ import annotations
 
@@ -221,15 +222,20 @@ def _variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
 
 
 def _refine(
-    f_ints: tuple[int, ...], lo: Fraction, hi: Fraction, width: Fraction
+    f_ints: tuple[int, ...], lo: Fraction, hi: Fraction, width: Fraction | None = None
 ) -> tuple[Fraction, Fraction]:
     # one simple root in (lo, hi); f is nonzero with opposite signs at the ends.
     # Bisect on integers: the ends are a/den and b/den, and each step
     # doubles den, so the points are the rationals (lo + hi) / 2 would give.
+    # Stop at hi - lo <= width or, with no width, at hi - lo <= 2^-53 times
+    # the end nearer 0, which an interval holding 0 meets only as a point.
     den = math.lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
     s_lo = _sign_at(f_ints, a, den)
-    while (b - a) * width.denominator > width.numerator * den:
+    while (
+        (b - a) << 53 > min(abs(a), abs(b)) if width is None
+        else (b - a) * width.denominator > width.numerator * den
+    ):
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
         s = _sign_at(f_ints, mid, den)
@@ -504,39 +510,23 @@ def _normalizations(v: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]
     return tuple(float(x) for x in unit), last1
 
 
-def _least_modulus_shift(p: Polynomial, roots: Sequence[RootInterval], det_a: Fraction) -> Fraction:
-    """A rational mu with |mu| <= |lambda| and mu det(A) >= 0, equality only at lambda.
-
-    lambda is the simple least-modulus eigenvalue that the adjugate check
-    proves.  Its interval is cut at 0 and bisected on p to a width of at
-    most 2^-53 |mu|, whatever the scale of A, so that the vector's error,
-    about 2^-53 |lambda| / gap, is that of a backward-stable float solver.
-    """
-    if det_a > 0:
-        r = next(r for r in roots if r.hi > 0)
-        lo, hi = max(r.lo, 0), r.hi
-    else:
-        r = next(r for r in reversed(roots) if r.lo < 0)
-        lo, hi = r.lo, min(r.hi, 0)
-    f = _primitive(clear_denominators(p.coeffs)[0])
-    while (hi - lo) * 2**53 > min(abs(lo), abs(hi)):
-        lo, hi = _refine(f, lo, hi, (hi - lo) / 2)
-    return lo if det_a > 0 else hi
-
-
 def smallest_eig_vector(A: ExactMatrix, tree: LabelledTree) -> SpectralSummary:
     """Eigenvector of the smallest eigenvalue, with its tree-signing verdict.
 
-    Every route reads one exact vector x from the pass on A
-    (`_solve_shifted`), signs x exactly and rounds it only for display.
-    When the adjugate check holds, (A - mu I) x = S, the tree signing, with
-    mu from `_least_modulus_shift` (0 when det A = 0): then
-    S (A - mu I)^-1 S = sum_k mu^k S A^-(k+1) S has entries of one strict
-    sign, so x is tree-signed, and x is the eigenvector when mu = lambda.
-    Otherwise ``inverse-iteration`` solves (A - mu I) x = 1 at the midpoint
-    mu of the smallest real eigenvalue's interval.  Reports no vector
-    (route ``"none"``) when that eigenvalue is not real, and when mu is
-    exact with an eigenspace of dimension >= 2.
+    Every route solves (A - mu I) x = S, S the tree signing, exactly from
+    the pass on A (`_solve_shifted`; a kernel vector when mu = lambda).
+    mu is the end nearer 0 of lambda's interval, bisected on p (or on the
+    square-free factor of p that holds lambda) to within 2^-53 |mu|
+    whatever the scale of A, so that x errs by about 2^-53 |lambda| / gap,
+    as from a backward-stable float solver.  x is signed exactly and
+    rounded only for display.  The routes differ only in where lambda's
+    interval comes from.  When the adjugate check holds, lambda is the
+    Perron-Frobenius root det A / rho, its interval is cut at 0, and
+    mu = 0 when det A = 0: then S (A - mu I)^-1 S = sum_k mu^k S A^-(k+1) S
+    has entries of one strict sign, so x is tree-signed.  Otherwise
+    ``inverse-iteration`` takes the smallest real eigenvalue's interval.
+    Reports no vector (route ``"none"``) when that eigenvalue is not real,
+    and when mu is exact with an eigenspace of dimension >= 2.
     """
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
@@ -546,18 +536,30 @@ def smallest_eig_vector(A: ExactMatrix, tree: LabelledTree) -> SpectralSummary:
     if all(x == 0 for row in check.adjugate.rows for x in row):
         raise ArithmeticError("adjugate is identically zero: rank < n-1")
 
-    route, rhs = "none", None
+    route, interval = "none", None
     if check.ok:
         det_a = (-1) ** A.n * p.coeffs[0]  # det(A) = (-1)^n p(0)
-        mu = _least_modulus_shift(p, roots, det_a) if det_a else 0
-        route = "adjugate-perron" if det_a else "adjugate-column"
-        rhs = tree_signing(tree, 1)
+        route, interval = "adjugate-column", RootInterval(0, 0, 1)
+        if det_a > 0:
+            r = next(r for r in roots if r.hi > 0)
+            route, interval = "adjugate-perron", RootInterval(max(r.lo, 0), r.hi, 1)
+        elif det_a < 0:
+            r = next(r for r in reversed(roots) if r.lo < 0)
+            route, interval = "adjugate-perron", RootInterval(r.lo, min(r.hi, 0), 1)
     elif smallest.is_real and not smallest.ambiguous:
-        mu, route, rhs = smallest.interval.midpoint(), "inverse-iteration", [1] * A.n
+        route, interval = "inverse-iteration", smallest.interval
 
     residual = unit = last1 = signing = exact = None
-    if rhs is not None:
-        exact, singular = _solve_shifted(spectrum.faddeev, mu, rhs)
+    if interval is not None:
+        lo, hi = interval.lo, interval.hi
+        if lo != hi:
+            c, _, d = spectrum.faddeev
+            f = _primitive([ck * d**k for k, ck in enumerate(c)])  # p times d^n
+            if interval.multiplicity > 1:
+                f = next(g for g, m in _squarefree_factors(f) if m == interval.multiplicity)
+            lo, hi = _refine(f, lo, hi)
+        mu = lo if lo >= 0 else hi
+        exact, singular = _solve_shifted(spectrum.faddeev, mu, tree_signing(tree, 1))
     if exact is None:
         route = "none"
     else:

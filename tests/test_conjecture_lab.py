@@ -6,6 +6,7 @@ import pytest
 from treetp import (
     GenConfig,
     batch_verify,
+    conjecture_lab,
     gen_candidate,
     is_t_tp,
     make_pitchfork,
@@ -181,6 +182,32 @@ class TestBatchVerify:
         serial = batch_verify(cfg, 6, keep=2, workers=1)
         parallel = batch_verify(cfg, 6, keep=2, workers=2)
         assert report_to_json(serial) == report_to_json(parallel)
+
+    def test_pool_never_larger_than_trials(self, monkeypatch):
+        # a pool starts all max_workers processes at its first submit; this
+        # fake records the size asked for and maps in-process instead
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(conjecture_lab, "ProcessPoolExecutor", InProcessPool)
+        cfg = GenConfig(tree=make_star(4, 1), entry_range=(1, 150), seed=22)
+        serial = batch_verify(cfg, 3, keep=2, workers=1)
+        for workers in (2, 3, 5000):
+            assert report_to_json(batch_verify(cfg, 3, keep=2, workers=workers)) == report_to_json(serial)
+        assert report_to_json(batch_verify(cfg, 1, workers=5000)) == report_to_json(batch_verify(cfg, 1))
+        assert sizes == [2, 3, 3]
 
     def test_exhaustion_reflected_in_counts(self):
         cfg = GenConfig(tree=make_star(5, 1), entry_range=(1, 150), seed=3, max_attempts=40)

@@ -8,6 +8,7 @@ import pkgutil
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from treetp.fixtures import (
 )
 
 from conftest import random_int_matrix, random_rational_matrix
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.json"
 
 
 def poly_of_matrix(p: Polynomial, A: ExactMatrix) -> ExactMatrix:
@@ -386,10 +389,40 @@ def test_no_polynomial_root_finder():
 def test_one_eigenvector_algorithm():
     # every route reads its vector exactly from the pass on A: the power
     # iteration, its cap and the second pass on A - mu I are gone
-    deleted = ("perron_vector", "PERRON_RTOL", "PERRON_MAX_ITER", "_solve_ones_or_kernel")
+    deleted = (
+        "perron_vector", "PERRON_RTOL", "PERRON_MAX_ITER", "_solve_ones_or_kernel", "_least_modulus_shift",
+    )
     assert [name for name in deleted if hasattr(spectral, name)] == []
     assert not hasattr(treetp, "perron_vector")
     assert "adjoint_check" not in inspect.signature(smallest_eig_vector).parameters
+
+
+@pytest.mark.parametrize(
+    "A, tree, route",
+    [
+        (STAR4_EXAMPLE.matrix, STAR4_EXAMPLE.tree, "adjugate-perron"),
+        (ExactMatrix([[1, 2], [2, 4]]), make_path((1, 2)), "adjugate-column"),
+        (STAR5_COUNTEREXAMPLE.matrix, STAR5_COUNTEREXAMPLE.tree, "inverse-iteration"),
+    ],
+    ids=["adjugate-perron", "adjugate-column", "inverse-iteration"],
+)
+def test_every_route_solves_with_the_tree_signing_at_lambda(monkeypatch, A, tree, route):
+    # one rule: (A - mu I) x = S, with mu within 2^-53 |mu| of lambda
+    calls = []
+    solve = spectral._solve_shifted
+
+    def recording(faddeev, mu, r):
+        calls.append((mu, tuple(r)))
+        return solve(faddeev, mu, r)
+
+    monkeypatch.setattr(spectral, "_solve_shifted", recording)
+    s = smallest_eig_vector(A, tree)
+    assert s.route == route
+    [(mu, r)] = calls
+    assert r == tree_signing(tree, 1)
+    # p has a root in [mu, mu + 2^-53 mu]: mu is the end nearer 0
+    p = char_poly(A)
+    assert p(mu) == 0 or p(mu) * p(mu + Fraction(mu) / 2**53) < 0
 
 
 def _symmetric_big_6x6() -> list[list[int]]:
@@ -473,6 +506,17 @@ class TestSmallestEigVector:
             a = np.array(fixture.matrix.to_float_rows())
             norm_a = np.abs(a).sum(axis=1).max()
             assert s.residual_inf <= 1e-8 * norm_a
+        # every route that reports a vector solves at lambda, to 2^-53 |lambda|
+        corpus = json.loads(CORPUS.read_text())
+        cases = [(rows, c["tree"]) for c in corpus["categories"] for rows in c["matrices"]]
+        cases += [(f["matrix"], f["tree"]) for f in corpus["fixtures"]]
+        with_vector = 0
+        for rows, spec in cases:
+            s = smallest_eig_vector(ExactMatrix(rows), treetp.parse_tree_spec(spec))
+            if s.residual_inf is not None:
+                with_vector += 1
+                assert s.residual_inf <= 1e-14 * np.abs(np.array(rows, dtype=float)).sum(axis=1).max()
+        assert with_vector > 200
 
     def test_singular_adjugate_column_route(self):
         # singular, adjugate matches the path-2 pattern: kernel via adjugate column
@@ -524,33 +568,54 @@ class TestSmallestEigVector:
         assert s.signed_ok is True
 
     @pytest.mark.parametrize(
-        "rows, tree",
+        "rows, tree, route",
         [
-            ([[10**6, 1], [1, 10**6 + 1]], make_path((1, 2))),
-            ([[10**8, 1], [1, 10**8 + 1]], make_path((1, 2))),
-            ([[10**6, 1, 1], [1, 10**6 + 1, 0], [1, 0, 10**6 + 2]], make_star(3, 1)),
+            ([[10**6, 1], [1, 10**6 + 1]], make_path((1, 2)), "adjugate-perron"),
+            ([[10**8, 1], [1, 10**8 + 1]], make_path((1, 2)), "adjugate-perron"),
+            ([[10**6, 1, 1], [1, 10**6 + 1, 0], [1, 0, 10**6 + 2]], make_star(3, 1), "adjugate-perron"),
             # det A < 0: mu is taken from below 0
-            ([[-(10**6), -1, -1], [-1, -(10**6) - 1, 0], [-1, 0, -(10**6) - 2]], make_star(3, 1)),
+            ([[-(10**6), -1, -1], [-1, -(10**6) - 1, 0], [-1, 0, -(10**6) - 2]], make_star(3, 1),
+             "adjugate-perron"),
             # eigenvalues near 1e-14, below the isolation width of 1e-12
             ([[Fraction(10**6, 10**20), Fraction(1, 10**20)], [Fraction(1, 10**20), Fraction(10**6 + 1, 10**20)]],
-             make_path((1, 2))),
+             make_path((1, 2)), "adjugate-perron"),
+            # the adjugate check fails: lambda's interval is the smallest real root's
+            ([[3, 2, 5], [2, 8, 8], [5, 8, 4]], make_path((1, 2, 3)), "inverse-iteration"),
+            ([[-3, -2, -5], [-2, -8, -8], [-5, -8, -4]], make_path((1, 2, 3)), "inverse-iteration"),
+            ([[Fraction(x, 10**14) for x in row] for row in [[3, 2, 5], [2, 8, 8], [5, 8, 4]]],
+             make_path((1, 2, 3)), "inverse-iteration"),
         ],
-        ids=["2x2-1e6", "2x2-1e8", "star3-1e6", "star3-1e6-negated", "2x2-1e6-scaled-down"],
+        ids=[
+            "2x2-1e6", "2x2-1e8", "star3-1e6", "star3-1e6-negated", "2x2-1e6-scaled-down",
+            "path3", "path3-negated", "path3-scaled-down",
+        ],
     )
-    def test_near_tie_adjugate_route(self, rows, tree):
+    def test_near_tie_adjugate_route(self, rows, tree, route):
         # the two smallest eigenvalues nearly tie, so a power iteration on
         # the conjugated adjugate stalls far from its limit; the exact read
         # from the pass does not, also when the eigenvalues are negative or
-        # smaller than the width of their isolating intervals
+        # smaller than the width of their isolating intervals, and on the
+        # inverse-iteration route, which solves at lambda too
         A = ExactMatrix(rows)
         s = smallest_eig_vector(A, tree)
-        assert s.route == "adjugate-perron" and s.signed_ok is True
+        assert s.route == route
+        if route == "adjugate-perron":
+            assert s.signed_ok is True
         a = np.array(rows, dtype=float)
         vals, vecs = np.linalg.eigh(a)
         want = vecs[:, np.argmin(np.abs(vals))]
         want = want / want[-1]
         assert np.max(np.abs(np.array(s.eigenvector_last1) - want)) <= 1e-8
         assert s.residual_inf <= 1e-8 * np.abs(a).sum(axis=1).max()
+
+    @pytest.mark.parametrize("jordan", [0, 1], ids=["diagonal", "jordan-block"])
+    def test_double_irrational_eigenvalue(self, jordan):
+        # 1 - sqrt 2 is a double root of p, where p keeps its sign: lambda's
+        # interval is bisected on the square-free factor of p that holds it
+        rows = [[0, 1, jordan, 0, 0], [1, 2, 0, jordan, 0], [0, 0, 0, 1, 0], [0, 0, 1, 2, 0], [0, 0, 0, 0, 9]]
+        s = smallest_eig_vector(ExactMatrix(rows), make_path((1, 2, 3, 4, 5)))
+        assert s.route == "inverse-iteration" and s.smallest.multiplicity == 2
+        assert s.residual_inf <= 1e-14 * 9
 
     def test_two_dimensional_eigenspace_reports_no_vector(self):
         # eigenvalue 1 has multiplicity 2 and A - I has rank 1: no single
