@@ -125,17 +125,8 @@ class ExactMatrix:
         c = _to_rational(c)
         return ExactMatrix([[c * x for x in row] for row in self._rows])
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self._rows)))
-
     def is_symmetric(self) -> bool:
         return self._rows == tuple(zip(*self._rows))
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        """1-based column extraction."""
-        if not (1 <= j <= self.n):
-            raise ValueError(f"column {j} out of range for n={self.n}")
-        return tuple(row[j - 1] for row in self._rows)
 
     def to_float_rows(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self._rows]

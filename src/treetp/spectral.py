@@ -12,25 +12,23 @@ power-of-two denominator) all run on primitive integer polynomials.
 The n eigenvalue estimates come from one LAPACK ``eigvals`` call on A, not
 from the rounded polynomial, and the exact real roots sort them into real
 values and conjugate pairs; they describe the spectrum and decide no
-verdict.  Every eigenvector is read exactly from the same pass, which
-keeps every N_k of adj(xI - A): (A - mu I) x = S, S the tree signing, is
-solved at mu within 2^-53 |mu| of the least-modulus eigenvalue lambda,
-or a kernel column of adj(mu I - A) is taken when mu = lambda; an
-eigenspace of dimension >= 2 reports no vector.
+verdict.  Every eigenvector is one integer column of adj(mu I - A), read
+from the same pass, which keeps every N_k of adj(xI - A): mu is within
+2^-53 |mu| of the least-modulus eigenvalue lambda, and equal to it when
+lambda is rational.  An eigenspace of dimension >= 2 reports no vector.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .exact_linalg import ExactMatrix, adjugate_from_pass, clear_denominators, faddeev_leverrier
-from .tree_model import LabelledTree, SigningVerdict, is_signed_according_to, tree_signing
+from .tree_model import LabelledTree, SigningVerdict, is_signed_according_to
 from .positivity import AdjointCheck, adjugate_sign_check
 
 MODULUS_MARGIN_RTOL = 1e-9
@@ -101,11 +99,17 @@ def char_poly(A: ExactMatrix) -> Polynomial:
 
 @dataclass(frozen=True)
 class RootInterval:
-    """Closed interval holding exactly `multiplicity` roots (a point when exact)."""
+    """Closed interval holding exactly `multiplicity` roots (a point when exact).
+
+    `factor` is the primitive square-free integer factor of p that a
+    proper interval isolates a simple root of, nonzero at both its ends;
+    refinement bisects on it.
+    """
 
     lo: Fraction
     hi: Fraction
     multiplicity: int
+    factor: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -322,7 +326,7 @@ def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInt
     for lo, hi, mult, f_ints in found:
         if refine_to is not None and hi - lo > refine_to:
             lo, hi = _refine(f_ints, lo, hi, refine_to)
-        out.append(RootInterval(lo, hi, mult))
+        out.append(RootInterval(lo, hi, mult, f_ints))
     out.sort(key=lambda r: r.lo + r.hi)
     return out
 
@@ -461,72 +465,60 @@ class SpectralSummary:
     route: str
 
 
-def _solve_shifted(
-    faddeev: tuple[list[int], list[list[list[int]]], int], mu: Fraction, r: Sequence[int]
-) -> tuple[list[Fraction] | None, bool]:
-    """Exact (A - mu I) x = r, or a kernel vector of A - mu I, from A's pass.
+def _adjugate_column(
+    faddeev: tuple[list[int], list[list[list[int]]], int], mu: Fraction
+) -> list[int] | None:
+    """The column of adj(mu I - A) with the largest entry, in integers, or None when it is 0.
 
-    With A = B/d and t = d mu = P/Q, det(tI - B) = D / Q^n with
-    D = sum_k c[k] P^k Q^(n-k), and adj(tI - B) = M / Q^(n-1) with
-    M = sum_k P^(n-1-k) Q^k N_k.  Returns (x, False) with
-    x = -d Q (M r) / D when D != 0.  Otherwise returns (v, True): at rank
-    n-1, M has rank 1 and its first nonzero column, divided by its last
-    nonzero entry, is the kernel vector v; at rank n-2 or less M = 0, the
-    kernel has dimension >= 2 and v is None.
+    With A = B/d and d mu = P/Q in lowest terms, the pass gives
+    adj(xI - B) = sum_k x^(n-1-k) N_k, so M = sum_k P^(n-1-k) Q^k N_k
+    is (dQ)^(n-1) adj(mu I - A), a positive multiple.  The column read is
+    the first one holding an entry of largest modulus.  At mu = lambda
+    every column of M is in the kernel of A - lambda I, and M = 0 exactly
+    when that kernel has dimension >= 2.
     """
-    c, Ns, d = faddeev
+    _, Ns, d = faddeev
     n = len(Ns)
     t = d * Fraction(mu)
     P, Q = t.numerator, t.denominator
-
-    def horner(terms):  # sum_k P^(n-1-k) Q^k terms[k], entrywise
-        acc = [0] * len(terms[0])
-        for k, term in enumerate(terms):
-            acc = [P * a + Q**k * x for a, x in zip(acc, term)]
-        return acc
-
-    D = sum(ck * P**k * Q ** (n - k) for k, ck in enumerate(c))
-    if D != 0:
-        Mr = horner([[sum(map(operator.mul, row, r)) for row in N] for N in Ns])
-        return [Fraction(-d * Q * x, D) for x in Mr], False
-    M = horner([[x for row in N for x in row] for N in Ns])
-    col = next((j for j in range(n) if any(M[j::n])), None)
-    if col is None:
-        return None, True
-    v = M[col::n]
-    last = next(x for x in reversed(v) if x)
-    return [Fraction(x, last) for x in v], True
+    M = [0] * (n * n)
+    for k, N in enumerate(Ns):  # Horner in P, N_k weighted by Q^k
+        q = Q**k
+        M = [P * m + q * x for m, x in zip(M, itertools.chain.from_iterable(N))]
+    top = max(range(n * n), key=lambda i: abs(M[i]))
+    return M[top % n :: n] if M[top] else None
 
 
-def _normalizations(v: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
-    norm = float(np.linalg.norm(v))
-    unit = v / norm
-    lead = next((x for x in unit if x != 0), 1.0)
+def _normalizations(
+    v: np.ndarray, x: list[int]
+) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
+    """v at unit norm with its first nonzero entry positive, and x / x[-1] if x[-1] != 0."""
+    unit = v / float(np.linalg.norm(v))
+    lead = next((t for t in unit if t != 0), 1.0)
     if lead < 0:
-        unit = -unit
-    last1 = None
-    if abs(v[-1]) > 1e-300 * max(1.0, float(np.abs(v).max())):
-        last1 = tuple(float(x) for x in v / v[-1])
-    return tuple(float(x) for x in unit), last1
+        unit = 0.0 - unit  # a zero entry stays +0.0
+    last1 = tuple(t / x[-1] if t else 0.0 for t in x) if x[-1] else None
+    return tuple(float(t) for t in unit), last1
 
 
 def smallest_eig_vector(A: ExactMatrix, tree: LabelledTree) -> SpectralSummary:
     """Eigenvector of the smallest eigenvalue, with its tree-signing verdict.
 
-    Every route solves (A - mu I) x = S, S the tree signing, exactly from
-    the pass on A (`_solve_shifted`; a kernel vector when mu = lambda).
-    mu is the end nearer 0 of lambda's interval, bisected on p (or on the
-    square-free factor of p that holds lambda) to within 2^-53 |mu|
-    whatever the scale of A, so that x errs by about 2^-53 |lambda| / gap,
-    as from a backward-stable float solver.  x is signed exactly and
-    rounded only for display.  The routes differ only in where lambda's
-    interval comes from.  When the adjugate check holds, lambda is the
-    Perron-Frobenius root det A / rho, its interval is cut at 0, and
-    mu = 0 when det A = 0: then S (A - mu I)^-1 S = sum_k mu^k S A^-(k+1) S
-    has entries of one strict sign, so x is tree-signed.  Otherwise
+    Every route reads one integer column of adj(mu I - A) from the pass on
+    A (`_adjugate_column`), with no right-hand side and no solve.  mu is
+    the end nearer 0 of lambda's interval, bisected on the square-free
+    factor of p that holds lambda to within 2^-53 |mu| whatever the scale
+    of A.  A rational lambda is k/d with k an integer root of det(xI - B),
+    A = B/d, and mu lands on it exactly: the column is then the
+    eigenvector itself, and an entry that is 0 reads 0.  The column is
+    signed exactly and rounded only for display.  The routes differ only
+    in where lambda's interval comes from.  When the adjugate check holds,
+    lambda is the Perron-Frobenius root det A / rho, its interval is cut
+    at 0, and mu = 0 when det A = 0: S adj(mu I - A) S then has entries
+    of one strict sign, so every column is tree-signed.  Otherwise
     ``inverse-iteration`` takes the smallest real eigenvalue's interval.
     Reports no vector (route ``"none"``) when that eigenvalue is not real,
-    and when mu is exact with an eigenspace of dimension >= 2.
+    and when mu = lambda with an eigenspace of dimension >= 2.
     """
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
@@ -542,33 +534,34 @@ def smallest_eig_vector(A: ExactMatrix, tree: LabelledTree) -> SpectralSummary:
         route, interval = "adjugate-column", RootInterval(0, 0, 1)
         if det_a > 0:
             r = next(r for r in roots if r.hi > 0)
-            route, interval = "adjugate-perron", RootInterval(max(r.lo, 0), r.hi, 1)
+            route, interval = "adjugate-perron", replace(r, lo=max(r.lo, 0))
         elif det_a < 0:
             r = next(r for r in reversed(roots) if r.lo < 0)
-            route, interval = "adjugate-perron", RootInterval(r.lo, min(r.hi, 0), 1)
+            route, interval = "adjugate-perron", replace(r, hi=min(r.hi, 0))
     elif smallest.is_real and not smallest.ambiguous:
         route, interval = "inverse-iteration", smallest.interval
 
-    residual = unit = last1 = signing = exact = None
+    residual = unit = last1 = signing = column = None
     if interval is not None:
         lo, hi = interval.lo, interval.hi
         if lo != hi:
-            c, _, d = spectrum.faddeev
-            f = _primitive([ck * d**k for k, ck in enumerate(c)])  # p times d^n
-            if interval.multiplicity > 1:
-                f = next(g for g, m in _squarefree_factors(f) if m == interval.multiplicity)
-            lo, hi = _refine(f, lo, hi)
+            lo, hi = _refine(interval.factor, lo, hi)
         mu = lo if lo >= 0 else hi
-        exact, singular = _solve_shifted(spectrum.faddeev, mu, tree_signing(tree, 1))
-    if exact is None:
+        # det(xI - B) is monic over the integers, so a rational lambda is k/d
+        c, _, d = spectrum.faddeev
+        k = round(d * mu)
+        if lo <= Fraction(k, d) <= hi and _sign_at(c, k, 1) == 0:
+            mu = Fraction(k, d)
+        column = _adjugate_column(spectrum.faddeev, mu)
+    if column is None:
         route = "none"
     else:
-        scale = 1 if singular else max(abs(x) for x in exact)
-        vector = np.array([float(x / scale) for x in exact])
+        scale = max(map(abs, column))
+        vector = np.array([x / scale for x in column])
         a_float = np.array(A.to_float_rows(), dtype=float)
         residual = float(np.abs(a_float @ vector - float(mu) * vector).max())
-        unit, last1 = _normalizations(vector)
-        signing = is_signed_according_to(exact, tree)
+        unit, last1 = _normalizations(vector, column)
+        signing = is_signed_according_to(column, tree)
     return SpectralSummary(
         char_poly=p,
         adjoint=check,

@@ -10,11 +10,12 @@ derived from them, so that a change to the exact arithmetic behind any
 of these outputs shows up here.  The corpus file is only read.
 """
 import json
+import operator
 from pathlib import Path
 
 import pytest
 
-from treetp import FIXTURES, ExactMatrix, parse_tree_spec
+from treetp import FIXTURES, ExactMatrix, parse_tree_spec, spectral, tree_signing
 from treetp.conjecture_lab import test_conjecture as verify
 from treetp.conjecture_lab import verdict_summary
 
@@ -111,3 +112,33 @@ def test_adjugate_check_implies_the_float_conclusion():
             assert v.eigenvector_signed is True
             checked += 1
     assert checked > 0
+
+
+def test_adjugate_routes_read_tree_signed_columns(monkeypatch):
+    # S adj(mu I - A) S has one strict sign on the adjugate routes, so the
+    # integer column read there is exactly tree-signed, entry by entry
+    columns = []
+    read = spectral._adjugate_column
+
+    def recording(faddeev, mu):
+        columns.append(read(faddeev, mu))
+        return columns[-1]
+
+    monkeypatch.setattr(spectral, "_adjugate_column", recording)
+    data = json.loads(CORPUS.read_text())
+    inputs = [_case(name) for name in CASES] + [
+        (ExactMatrix(m), parse_tree_spec(c["tree"]), c["augmented"])
+        for c in data["categories"]
+        for m in c["matrices"]
+    ]
+    inputs.append((ExactMatrix([[1, 2], [2, 4]]), parse_tree_spec("path:2"), False))
+    routes = set()
+    for A, tree, augmented in inputs:
+        columns.clear()
+        route = verify(A, tree, augmented).summary.route
+        if route.startswith("adjugate"):
+            routes.add(route)
+            [column] = columns
+            s = tree_signing(tree, 1)
+            assert {(x > 0) - (x < 0) for x in map(operator.mul, s, column)} in ({1}, {-1})
+    assert routes == {"adjugate-perron", "adjugate-column"}

@@ -25,7 +25,6 @@ from treetp import (
     real_roots,
     smallest_eig_vector,
     smallest_eigenvalue,
-    tree_signing,
 )
 from treetp import test_conjecture as run_conjecture
 import treetp
@@ -37,7 +36,7 @@ from treetp.fixtures import (
     STAR5_COUNTEREXAMPLE,
 )
 
-from conftest import random_int_matrix, random_rational_matrix
+from conftest import laplace_det, random_int_matrix, random_rational_matrix
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.json"
 
@@ -387,14 +386,30 @@ def test_no_polynomial_root_finder():
 
 
 def test_one_eigenvector_algorithm():
-    # every route reads its vector exactly from the pass on A: the power
-    # iteration, its cap and the second pass on A - mu I are gone
+    # every route reads its vector exactly from the pass on A, as one
+    # column of adj(mu I - A): the power iteration, its cap, the second
+    # pass on A - mu I and the solve with a right-hand side are gone
     deleted = (
         "perron_vector", "PERRON_RTOL", "PERRON_MAX_ITER", "_solve_ones_or_kernel", "_least_modulus_shift",
+        "_solve_shifted",
     )
     assert [name for name in deleted if hasattr(spectral, name)] == []
     assert not hasattr(treetp, "perron_vector")
     assert "adjoint_check" not in inspect.signature(smallest_eig_vector).parameters
+
+
+@pytest.fixture
+def column_reads(monkeypatch) -> list:
+    """(mu, column) of every `_adjugate_column` call while the test runs."""
+    calls = []
+    read = spectral._adjugate_column
+
+    def recording(faddeev, mu):
+        calls.append((mu, read(faddeev, mu)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spectral, "_adjugate_column", recording)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -406,23 +421,17 @@ def test_one_eigenvector_algorithm():
     ],
     ids=["adjugate-perron", "adjugate-column", "inverse-iteration"],
 )
-def test_every_route_solves_with_the_tree_signing_at_lambda(monkeypatch, A, tree, route):
-    # one rule: (A - mu I) x = S, with mu within 2^-53 |mu| of lambda
-    calls = []
-    solve = spectral._solve_shifted
-
-    def recording(faddeev, mu, r):
-        calls.append((mu, tuple(r)))
-        return solve(faddeev, mu, r)
-
-    monkeypatch.setattr(spectral, "_solve_shifted", recording)
+def test_every_route_reads_one_adjugate_column_at_lambda(column_reads, A, tree, route):
+    # one rule: a column of adj(mu I - A), with mu within 2^-53 |mu| of lambda
     s = smallest_eig_vector(A, tree)
     assert s.route == route
-    [(mu, r)] = calls
-    assert r == tree_signing(tree, 1)
+    [(mu, column)] = column_reads
     # p has a root in [mu, mu + 2^-53 mu]: mu is the end nearer 0
     p = char_poly(A)
     assert p(mu) == 0 or p(mu) * p(mu + Fraction(mu) / 2**53) < 0
+    # the column is a positive multiple of a column of the cofactor adjugate
+    adj = _cofactor_adjugate(_shift(mu, A))
+    assert any(_positive_multiple(column, [row[j] for row in adj]) for j in range(A.n))
 
 
 def _symmetric_big_6x6() -> list[list[int]]:
@@ -617,6 +626,52 @@ class TestSmallestEigVector:
         assert s.route == "inverse-iteration" and s.smallest.multiplicity == 2
         assert s.residual_inf <= 1e-14 * 9
 
+    @pytest.mark.parametrize(
+        "fixture, signs",
+        [
+            (STAR4_EXAMPLE, (1, -1, -1, -1)),
+            (STAR5_COUNTEREXAMPLE, (1, -1, 1, -1, -1)),
+            (PITCHFORK_COUNTEREXAMPLE, (1, -1, -1, -1, -1)),
+        ],
+        ids=["star4", "star5", "pitchfork"],
+    )
+    def test_fixture_sign_vectors_are_pinned(self, column_reads, fixture, signs):
+        # the signs are those of the integer column, up to one global sign
+        s = smallest_eig_vector(fixture.matrix, fixture.tree)
+        [(_, column)] = column_reads
+        lead = 1 if column[0] > 0 else -1
+        assert tuple(lead * ((x > 0) - (x < 0)) for x in column) == signs
+        assert tuple(int(np.sign(x)) for x in s.eigenvector_unit) == signs
+
+    def test_eigenvector_does_not_depend_on_the_tree_signing(self):
+        # the tree signing S is orthogonal to lambda's left eigenvector here,
+        # so a solve (A - mu I) x = S misses the eigenvector; a column does not
+        A = ExactMatrix([[-2, 0, -2], [-9, -9, 6], [9, 12, -3]])
+        s = smallest_eig_vector(A, make_path((1, 2, 3)))
+        assert s.route == "inverse-iteration" and abs(s.smallest.estimate - 3) < 1e-9
+        want = np.array([2, -4, -5]) / np.sqrt(45)
+        got = np.array(s.eigenvector_unit)
+        assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-12
+        assert s.residual_inf <= 1e-14 * 24
+        assert s.signing.violated_edge == (2, 3)
+
+    def test_rational_lambda_is_hit_exactly(self):
+        # lambda = -2 is k/d with k an integer root of det(xI - B); mu lands
+        # on it and the eigenvector's zero entry reads exactly 0
+        A = ExactMatrix([[-10, -6, 5], [8, -4, -5], [0, -11, -2]])
+        s = smallest_eig_vector(A, make_path((1, 2, 3)))
+        assert s.route == "inverse-iteration"
+        assert s.signing.zero_vertex == 2 and s.eigenvector_unit[1] == 0
+        assert s.residual_inf == 0.0
+        assert run_conjecture(A, make_path((1, 2, 3))).eigenvector_signed is False
+
+    def test_last1_is_read_from_the_integers(self):
+        # eigenvector (-10^301, 1): the last entry is 10^-301 of the largest,
+        # below any float threshold, yet exactly nonzero
+        s = smallest_eig_vector(ExactMatrix([[2, 10**301], [0, 1]]), make_path((1, 2)))
+        assert s.eigenvector_last1 == (-1e301, 1.0)
+        assert s.eigenvector_unit == (1.0, -1e-301)
+
     def test_two_dimensional_eigenspace_reports_no_vector(self):
         # eigenvalue 1 has multiplicity 2 and A - I has rank 1: no single
         # eigenvector to sign, so no vector and no signing verdict
@@ -645,6 +700,34 @@ def _rank_class(B: ExactMatrix) -> str:
     return "low"
 
 
+def _shift(mu, A: ExactMatrix) -> list[list[Fraction]]:
+    """Rows of mu I - A."""
+    return [[(mu if i == j else 0) - A.rows[i][j] for j in range(A.n)] for i in range(A.n)]
+
+
+def _cofactor_adjugate(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """adj by cofactor expansion: entry (i, j) is (-1)^(i+j) det of rows without j, cols without i."""
+    n = len(rows)
+    if n == 1:
+        return [[Fraction(1)]]
+    return [
+        [
+            (-1) ** (i + j) * laplace_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _positive_multiple(x, y) -> bool:
+    """x = c y for some c > 0."""
+    k = next((i for i, t in enumerate(y) if t != 0), None)
+    if k is None or x[k] * y[k] <= 0:
+        return False
+    c = Fraction(x[k]) / y[k]
+    return all(a == c * b for a, b in zip(x, y))
+
+
 def _low_rank(rng, n: int, rank: int, den_bits: int) -> list[list[Fraction]]:
     u = [[Fraction(rng.randint(-3, 3), 2 ** rng.randint(0, den_bits)) for _ in range(rank)] for _ in range(n)]
     v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
@@ -652,26 +735,25 @@ def _low_rank(rng, n: int, rank: int, den_bits: int) -> list[list[Fraction]]:
 
 
 class TestSolveOnesOrKernel:
-    """`_solve_shifted` with r = 1 against exact products and Bareiss ranks."""
+    """`_adjugate_column` against a cofactor adjugate and Bareiss ranks."""
 
     def _check(self, A: ExactMatrix, mu: Fraction, seen: set) -> None:
-        x, singular = spectral._solve_shifted(exact_linalg.faddeev_leverrier(A), mu, [1] * A.n)
-        # B = A - mu I is built here only, as the checker
-        B = ExactMatrix(
-            [[A.rows[i][j] - (mu if i == j else 0) for j in range(A.n)] for i in range(A.n)]
-        )
-        kind = _rank_class(B)
+        column = spectral._adjugate_column(exact_linalg.faddeev_leverrier(A), mu)
+        # mu I - A and its adjugate are built here only, as the checkers
+        shifted = _shift(mu, A)
+        kind = _rank_class(ExactMatrix(shifted))
         seen.add(kind)
         if kind == "low":
-            assert singular and x is None
+            assert column is None
             return
-        assert x is not None and all(isinstance(t, Fraction) for t in x)
-        Bx = [sum(b * t for b, t in zip(row, x)) for row in B.rows]
-        if kind == "full":
-            assert not singular and Bx == [1] * B.n
-        else:
-            assert singular and Bx == [0] * B.n
-            assert next(t for t in reversed(x) if t != 0) == 1
+        assert column is not None and all(type(t) is int for t in column)
+        # the oracle's column holding its first entry of largest modulus
+        adj = _cofactor_adjugate(shifted)
+        flat = [x for row in adj for x in row]
+        top = max(range(len(flat)), key=lambda i: abs(flat[i]))
+        assert _positive_multiple(column, [row[top % A.n] for row in adj])
+        if kind == "n-1":
+            assert [sum(b * t for b, t in zip(row, column)) for row in shifted] == [0] * A.n
 
     def test_random_integer_matrices(self, rng):
         seen: set = set()
