@@ -9,6 +9,10 @@ exactly: the polynomial is cleared to integers once, and Yun's
 square-free decomposition (gcds by a primitive pseudo-remainder sequence),
 the Sturm sequences and the bisection (integer numerators over a
 power-of-two denominator) all run on primitive integer polynomials.
+Isolation takes no Sturm count beyond Fujiwara's root bound, where the
+count is that at infinity.  Refinement returns the interval that halving
+would, found at halving's stopping depth by exact sign probes; a float
+root estimate from ``np.roots`` orders the probes and decides nothing.
 The n eigenvalue estimates come from one LAPACK ``eigvals`` call on A, not
 from the rounded polynomial, and the exact real roots sort them into real
 values and conjugate pairs; they describe the spectrum and decide no
@@ -19,6 +23,7 @@ lambda is rational.  An eigenspace of dimension >= 2 reports no vector.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -220,36 +225,127 @@ def _sturm_chain(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     return chain
 
 
-def _variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
-    signs = [s for s in (_sign_at(q, num, den) for q in chain) if s != 0]
+def _changes(signs) -> int:
+    signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
+    return _changes(_sign_at(q, num, den) for q in chain)
+
+
+def _root_bound_exponent(f: tuple[int, ...]) -> int:
+    """An e with every complex root of f below 2^e in modulus, from bit lengths.
+
+    Fujiwara (1916): every root is below 2 max_k |c_(n-k) / c_n|^(1/k), n the
+    degree.  Each ratio is below 2^(bits(c_(n-k)) - bits(c_n) + 1), so each
+    term is below 2^(1 + ceil((bits(c_(n-k)) - bits(c_n) + 1) / k)).
+    """
+    top = abs(f[-1]).bit_length()
+    return 1 + max(
+        (-((top - 1 - abs(c).bit_length()) // k) for k, c in enumerate(reversed(f[:-1]), 1) if c),
+        default=0,  # f = c x^n: every root is 0
+    )
+
+
+def _shift(x: int, y: int) -> int:
+    """The least s >= 0 with x * 2^s >= y, for x > 0."""
+    s = max(0, y.bit_length() - x.bit_length())
+    return s if x << s >= y else s + 1
+
+
 def _refine(
-    f_ints: tuple[int, ...], lo: Fraction, hi: Fraction, width: Fraction | None = None
+    f_ints: tuple[int, ...],
+    lo: Fraction,
+    hi: Fraction,
+    width: Fraction | None = None,
+    guess: float | None = None,
 ) -> tuple[Fraction, Fraction]:
-    # one simple root in (lo, hi); f is nonzero with opposite signs at the ends.
-    # Bisect on integers: the ends are a/den and b/den, and each step
-    # doubles den, so the points are the rationals (lo + hi) / 2 would give.
-    # Stop at hi - lo <= width or, with no width, at hi - lo <= 2^-53 times
-    # the end nearer 0, which an interval holding 0 meets only as a point.
+    """The interval that halving [lo, hi] on f stops on, found without halving.
+
+    One simple root lies in (lo, hi), and f is nonzero with opposite signs
+    at the ends.  Halving keeps the cell holding the root on the dyadic
+    grid lo + i (hi - lo) / 2^k, and stops at hi - lo <= width or, with no
+    width, at hi - lo <= 2^-53 times the end nearer 0 (which an interval
+    holding 0 meets only as a point); it returns a grid point that is a
+    root as soon as it is a midpoint.  Here the stopping depth is computed,
+    the cell at that depth is found by exact signs at its grid points, and
+    its ancestors are walked back to the first one halving stops on.  The
+    float `guess` of the root only orders the sign probes: the search starts
+    at the grid point nearest it and gallops away by 1, 4, 16, ... until
+    it passes the root, then halves the index range.  Any guess, or none
+    (NaN, infinite or off [lo, hi] by over half a cell counts as none),
+    gives the same cell.
+    """
     den = math.lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    a = lo.numerator * (den // lo.denominator)  # lo = a/den, and cell j of depth k
+    W = hi.numerator * (den // hi.denominator) - a  # is [a 2^k + j W, a 2^k + (j+1) W] / (den 2^k)
     s_lo = _sign_at(f_ints, a, den)
-    while (
-        (b - a) << 53 > min(abs(a), abs(b)) if width is None
-        else (b - a) * width.denominator > width.numerator * den
-    ):
-        mid = a + b
-        a, b, den = 2 * a, 2 * b, 2 * den
-        s = _sign_at(f_ints, mid, den)
-        if s == 0:
-            return Fraction(mid, den), Fraction(mid, den)
-        if s == s_lo:
-            a = mid
-        else:
-            b = mid
-    return Fraction(a, den), Fraction(b, den)
+    g = guess.as_integer_ratio() if guess is not None and math.isfinite(guess) else None
+
+    def stops(k: int, j: int) -> bool:
+        if width is None:
+            x = (a << k) + j * W
+            return W << 53 <= min(abs(x), abs(x + W))
+        return W * width.denominator <= (width.numerator * den) << k
+
+    def locate(k: int, j: int, depth: int) -> tuple[int, bool]:
+        # the cell of `depth` inside cell j of depth k that holds the root,
+        # or (i, True) when grid point i of `depth` is the root
+        lo_i, hi_i = j << (depth - k), (j + 1) << (depth - k)
+        t = None
+        if g is not None:  # the grid index nearest the guess
+            q = g[1] * W
+            t = (((g[0] * den - a * g[1]) << (depth + 1)) + q) // (2 * q)
+            t = t if lo_i <= t <= hi_i else None
+        p, up, step = t, None, 1
+        while hi_i - lo_i > 1:
+            if p is None:
+                p = (lo_i + hi_i) // 2
+            if lo_i < p < hi_i:
+                r = _sign_at(f_ints, (a << depth) + p * W, den << depth) * s_lo
+                if r == 0:
+                    return p, True
+                if r > 0:
+                    lo_i = p
+                else:
+                    hi_i = p
+            else:  # at or past a known end: below the root at lo_i, above it at hi_i
+                r = 1 if p <= lo_i else -1
+            if t is not None and up in (None, r > 0):  # gallop on until the root is passed
+                up = r > 0
+                p, step = t + step if up else t - step, 4 * step
+            else:
+                t = p = None
+        return lo_i, False
+
+    if width is None:
+        k = j = 0
+        while True:
+            # a cell clear of 0 bounds the end nearer 0 of every cell inside
+            # it; once that end is at least the cell's width, it sets the
+            # stopping depth to within one level
+            x = (a << k) + j * W
+            near = x if x > 0 else -x - W  # <= 0 when the cell reaches 0
+            final = near >= W
+            depth = k + (_shift(near, W << 53) if final else _shift(near, W) if near > 0 else 1)
+            j, hit = locate(k, j, depth)
+            k = depth
+            if final or hit:
+                break
+    else:
+        k = _shift(width.numerator * den, W * width.denominator)
+        j, hit = locate(0, 0, k)
+    if hit:
+        top = k - (j & -j).bit_length()  # the deepest level holding the point inside a cell
+        if top < 0 or not stops(top, j >> (k - top)):
+            x = Fraction((a << k) + j * W, den << k)
+            return x, x
+        k, j = top, j >> (k - top)
+    while k > 0 and stops(k - 1, j >> 1):
+        k, j = k - 1, j >> 1
+    x = (a << k) + j * W
+    return Fraction(x, den << k), Fraction(x + W, den << k)
 
 
 def _isolate_squarefree(
@@ -260,7 +356,9 @@ def _isolate_squarefree(
     f is primitive and squarefree.  Also returns the deflated factor whose
     simple roots the proper intervals isolate.  It has no root at their
     ends, which f may have: a rational root peeled off at a bisection
-    midpoint can be the end of an interval of the deflated factor.
+    midpoint can be the end of an interval of the deflated factor.  Every
+    root is below 2^e in modulus, so a point at or beyond it is no root and
+    has the Sturm count of +-infinity, read from the leading coefficients.
     """
     exact: list[Fraction] = []
     # peel off rational roots hit during bisection by deflation
@@ -269,12 +367,26 @@ def _isolate_squarefree(
             exact.append(Fraction(-f[0], f[1]))
             return [(r, r) for r in exact], ()
         chain = _sturm_chain(f)
+        e = _root_bound_exponent(f)
+        at_inf = {
+            side: _changes((1 if q[-1] > 0 else -1) * side ** (len(q) - 1) for q in chain)
+            for side in (1, -1)
+        }
+
+        def beyond(num: int, den: int) -> bool:  # |num/den| >= 2^e
+            return abs(num) >= den << e if e >= 0 else abs(num) << -e >= den
+
+        def v_at(num: int, den: int) -> int:
+            if beyond(num, den):
+                return at_inf[1 if num > 0 else -1]
+            return _variations(chain, num, den)
+
         bound = 1 + Fraction(max(abs(c) for c in f[:-1]), abs(f[-1]))  # Cauchy
         hit = None
         intervals = []
         # an interval is (a, b) over the denominator bound.denominator << depth
         b0, d0 = bound.numerator, bound.denominator
-        stack = [(-b0, b0, 0, _variations(chain, -b0, d0), _variations(chain, b0, d0))]
+        stack = [(-b0, b0, 0, v_at(-b0, d0), v_at(b0, d0))]
         while stack:
             a, b, depth, v_lo, v_hi = stack.pop()
             count = v_lo - v_hi
@@ -286,10 +398,10 @@ def _isolate_squarefree(
                 continue
             mid, depth = a + b, depth + 1
             den = d0 << depth
-            if _sign_at(f, mid, den) == 0:
+            if not beyond(mid, den) and _sign_at(f, mid, den) == 0:
                 hit = Fraction(mid, den)
                 break
-            v_mid = _variations(chain, mid, den)
+            v_mid = v_at(mid, den)
             stack.append((2 * a, mid, depth, v_lo, v_mid))
             stack.append((mid, 2 * b, depth, v_mid, v_hi))
         if hit is None:
@@ -297,6 +409,28 @@ def _isolate_squarefree(
         exact.append(hit)
         # f primitive and den * x - num primitive: the quotient is primitive
         f = _exact_quotient(f, (-hit.numerator, hit.denominator))
+
+
+def _root_estimates(f: tuple[int, ...]) -> list[complex]:
+    """Float estimates of the roots of f from np.roots; none when they overflow."""
+    try:
+        with np.errstate(all="ignore"):
+            z = np.roots([float(c) for c in reversed(f)])
+    except (OverflowError, np.linalg.LinAlgError):
+        return []
+    return [w for w in z.tolist() if cmath.isfinite(w)]
+
+
+def _estimate_in(estimates: list[complex], lo: Fraction, hi: Fraction) -> float | None:
+    """The real part of the estimate nearest the real axis among those over [lo, hi]."""
+    ends = []
+    for x in (lo, hi):
+        try:
+            ends.append(float(x))
+        except OverflowError:
+            ends.append(math.inf if x > 0 else -math.inf)
+    inside = [w for w in estimates if ends[0] <= w.real <= ends[1]]
+    return min(inside, key=lambda w: abs(w.imag)).real if inside else None
 
 
 def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInterval]:
@@ -323,9 +457,13 @@ def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInt
                     found[j] = (*_refine(f2, lo2, hi2, (hi2 - lo2) / 4), m2, f2)
                     changed = True
     out = []
+    estimates: dict[tuple[int, ...], list[complex]] = {}  # one np.roots call per factor
     for lo, hi, mult, f_ints in found:
         if refine_to is not None and hi - lo > refine_to:
-            lo, hi = _refine(f_ints, lo, hi, refine_to)
+            if f_ints not in estimates:
+                estimates[f_ints] = _root_estimates(f_ints)
+            guess = _estimate_in(estimates[f_ints], lo, hi)
+            lo, hi = _refine(f_ints, lo, hi, refine_to, guess)
         out.append(RootInterval(lo, hi, mult, f_ints))
     out.sort(key=lambda r: r.lo + r.hi)
     return out
@@ -492,12 +630,18 @@ def _adjugate_column(
 def _normalizations(
     v: np.ndarray, x: list[int]
 ) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
-    """v at unit norm with its first nonzero entry positive, and x / x[-1] if x[-1] != 0."""
+    """v at unit norm with its first nonzero entry positive, and x / x[-1].
+
+    The second is None when x[-1] = 0 or a ratio is beyond the float range.
+    """
     unit = v / float(np.linalg.norm(v))
     lead = next((t for t in unit if t != 0), 1.0)
     if lead < 0:
         unit = 0.0 - unit  # a zero entry stays +0.0
-    last1 = tuple(t / x[-1] if t else 0.0 for t in x) if x[-1] else None
+    try:
+        last1 = tuple(t / x[-1] if t else 0.0 for t in x) if x[-1] else None
+    except OverflowError:
+        last1 = None
     return tuple(float(t) for t in unit), last1
 
 
@@ -545,6 +689,8 @@ def smallest_eig_vector(A: ExactMatrix, tree: LabelledTree) -> SpectralSummary:
     if interval is not None:
         lo, hi = interval.lo, interval.hi
         if lo != hi:
+            # no guess: the interval's own midpoint is the float at hand, and
+            # galloping from it takes more probes than the plain index search
             lo, hi = _refine(interval.factor, lo, hi)
         mu = lo if lo >= 0 else hi
         # det(xI - B) is monic over the integers, so a rational lambda is k/d

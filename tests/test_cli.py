@@ -192,6 +192,20 @@ class TestSpectrum:
         assert code == 0 and err == ""
         assert "(complex, unknown multiplicity)" in out
 
+    def test_last1_beyond_the_float_range_is_left_out(self, capsys, tmp_path):
+        # eigenvector (10^400 / 2, -10^200 / 2, 1) of the eigenvalue 1
+        p = tmp_path / "big.txt"
+        p.write_text(f"2 {10**200} 0\n0 3 {10**200}\n0 0 1\n")
+        code, out, err = run(capsys, "spectrum", str(p), "--tree", "path:3")
+        assert code == 0 and err == ""
+        assert "eigenvector (unit norm): 1.0000" in out
+        assert "last entry 1" not in out
+        code, out, _ = run(capsys, "spectrum", str(p), "--tree", "path:3", "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["eigenvector_last1"] == []
+        assert data["eigenvector_unit"][0] == 1.0 and data["signed_ok"] is True
+
     def test_rank_deficient_matrix_exit_2(self, capsys, tmp_path):
         p = tmp_path / "low.txt"
         p.write_text("0 0 0\n0 0 0\n0 0 1\n")
