@@ -3,8 +3,6 @@
 from .exact_linalg import (
     ExactMatrix,
     IndexList,
-    Rational,
-    SignMatrix,
     SylvesterInapplicableError,
     adjugate,
     det,
@@ -55,7 +53,6 @@ from .spectral import (
     full_spectrum_numeric,
     real_roots,
     smallest_eig_vector,
-    smallest_eigenvalue,
 )
 from .conjecture_lab import (
     BatchReport,

@@ -32,9 +32,8 @@ class GenConfig:
 
     ``max_attempts`` counts starting matrices: screened candidates in
     rejection mode, hill-climb starts when ``repair`` is on.  Left as
-    None it becomes 1,000 starts with ``repair`` and 2,000,000 candidates
-    without, fixed when the config is built: ``dataclasses.replace`` that
-    switches ``repair`` keeps the old budget, so pass ``max_attempts`` too.
+    None, ``budget`` reads it as 1,000 starts with ``repair`` and
+    2,000,000 candidates without.
     Entries are drawn uniformly from ``entry_range``
     (inclusive); positivity of the target class forces lo >= 1.
     """
@@ -53,10 +52,15 @@ class GenConfig:
             raise ValueError("entry range must start at 1 or above")
         if hi < lo:
             raise ValueError("empty entry range")
-        if self.max_attempts is None:
-            object.__setattr__(self, "max_attempts", 1_000 if self.repair else 2_000_000)
-        if self.max_attempts < 1:
+        if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+
+    @property
+    def budget(self) -> int:
+        """The attempts a slot may spend: `max_attempts`, or the mode's default."""
+        if self.max_attempts is not None:
+            return self.max_attempts
+        return 1_000 if self.repair else 2_000_000
 
 
 def _hypothesis_reports(A: ExactMatrix, tree: LabelledTree, augmented: bool) -> HypothesisReport:
@@ -102,8 +106,8 @@ def _generate_slot(
     if cfg.repair:
         return _generate_repair(cfg, compiled, rng, n, lo, hi)
     attempts = 0
-    while attempts < cfg.max_attempts:
-        size = min(_BATCH, cfg.max_attempts - attempts)
+    while attempts < cfg.budget:
+        size = min(_BATCH, cfg.budget - attempts)
         batch = rng.integers(lo, hi + 1, size=(size, n, n), dtype=np.int64)
         if cfg.symmetric:
             batch = _symmetrize(batch)
@@ -122,7 +126,7 @@ def _generate_slot(
 
 
 def _generate_repair(cfg, rplan, rng, n, lo, hi) -> tuple[ExactMatrix | None, int]:
-    for attempt in range(cfg.max_attempts):
+    for attempt in range(cfg.budget):
         a = rng.integers(lo, hi + 1, size=(n, n), dtype=np.int64)
         if cfg.symmetric:
             a = _symmetrize(a[None])[0]
@@ -140,7 +144,7 @@ def _generate_repair(cfg, rplan, rng, n, lo, hi) -> tuple[ExactMatrix | None, in
             candidate = ExactMatrix(a)
             if _hypothesis_reports(candidate, cfg.tree, cfg.augmented).holds:
                 return candidate, attempt + 1
-    return None, cfg.max_attempts
+    return None, cfg.budget
 
 
 def gen_candidate(cfg: GenConfig) -> ExactMatrix | None:
@@ -261,7 +265,7 @@ def _config_echo(cfg: GenConfig) -> dict:
         "tree_edges": [list(e) for e in cfg.tree.sorted_edges()],
         "entry_range": list(cfg.entry_range),
         "seed": cfg.seed,
-        "max_attempts": cfg.max_attempts,
+        "max_attempts": cfg.budget,
         "augmented": cfg.augmented,
         "symmetric": cfg.symmetric,
         "repair": cfg.repair,

@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class SylvesterInapplicableError(ArithmeticError):
     """The central minor of the Sylvester quotient is zero.
@@ -130,39 +128,6 @@ class ExactMatrix:
 
     def to_float_rows(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self._rows]
-
-
-class SignMatrix:
-    """Square pattern of entrywise signs, each in {+1, -1, 0}."""
-
-    __slots__ = ("n", "signs")
-
-    def __init__(self, signs: Iterable[Iterable[int]]) -> None:
-        data = tuple(tuple(int(s) for s in row) for row in signs)
-        n = len(data)
-        if any(len(row) != n for row in data):
-            raise ValueError("sign pattern must be square")
-        if any(s not in (-1, 0, 1) for row in data for s in row):
-            raise ValueError("signs must be -1, 0 or +1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "signs", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignMatrix is immutable")
-
-    def __reduce__(self):
-        return (SignMatrix, (self.signs,))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignMatrix) and self.signs == other.signs
-
-    def __hash__(self) -> int:
-        return hash(self.signs)
-
-    def __repr__(self) -> str:
-        sym = {1: "+", -1: "-", 0: "0"}
-        body = "; ".join("".join(sym[s] for s in row) for row in self.signs)
-        return f"SignMatrix({body})"
 
 
 def _check_lists(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> tuple[IndexList, IndexList]:
@@ -434,9 +399,9 @@ def sylvester_rhs(A: ExactMatrix, alpha: Sequence[int], beta: Sequence[int]) -> 
     return top / central
 
 
-def sign_pattern(A: ExactMatrix) -> SignMatrix:
-    """Entrywise exact signs, read from the numerators; zero maps to 0."""
-    return SignMatrix([[(x.numerator > 0) - (x.numerator < 0) for x in row] for row in A.rows])
+def sign_pattern(A: ExactMatrix) -> tuple[tuple[int, ...], ...]:
+    """Entrywise exact signs in {-1, 0, 1}, read from the numerators."""
+    return tuple(tuple((x.numerator > 0) - (x.numerator < 0) for x in row) for row in A.rows)
 
 
 # --- matrix text format -------------------------------------------------

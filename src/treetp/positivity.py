@@ -21,7 +21,6 @@ from fractions import Fraction
 from .exact_linalg import (
     ExactMatrix,
     IndexList,
-    SignMatrix,
     adjugate,
     clear_rows,
     minor,
@@ -231,10 +230,10 @@ def pendant_deletion_hypothesis(A: ExactMatrix, tree: LabelledTree) -> Hypothesi
     return HypothesisReport(_path_report(cleared, paths), checks)
 
 
-def predicted_adjoint_sign(tree: LabelledTree) -> SignMatrix:
+def predicted_adjoint_sign(tree: LabelledTree) -> tuple[tuple[int, ...], ...]:
     """Sign pattern s_i * s_j from the tree signing anchored at vertex 1."""
     s = tree_signing(tree, 1)
-    return SignMatrix([[s[i] * s[j] for j in range(tree.n)] for i in range(tree.n)])
+    return tuple(tuple(s[i] * s[j] for j in range(tree.n)) for i in range(tree.n))
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,6 @@ class AdjointCheck:
     ok: bool
     mismatches: tuple[tuple[int, int], ...]
     adjugate: ExactMatrix
-    predicted: SignMatrix
 
     def __bool__(self) -> bool:
         return self.ok
@@ -255,14 +253,14 @@ def adjugate_sign_check(adj: ExactMatrix, tree: LabelledTree) -> AdjointCheck:
     nonzero adjugate.  Mismatches are listed in row-major order.
     """
     predicted = predicted_adjoint_sign(tree)
-    signs = sign_pattern(adj).signs
+    signs = sign_pattern(adj)
     mismatches = tuple(
         (i + 1, j + 1)
         for i in range(tree.n)
         for j in range(tree.n)
-        if signs[i][j] != predicted.signs[i][j]
+        if signs[i][j] != predicted[i][j]
     )
-    return AdjointCheck(not mismatches, mismatches, adj, predicted)
+    return AdjointCheck(not mismatches, mismatches, adj)
 
 
 def check_adjoint_conclusion(A: ExactMatrix, tree: LabelledTree) -> AdjointCheck:

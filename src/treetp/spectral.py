@@ -1,14 +1,15 @@
 """Spectral analysis built on the exact characteristic polynomial.
 
 `full_spectrum_numeric` runs the integer Faddeev-LeVerrier pass of
-``exact_linalg`` on A once per instance; its result carries the
-characteristic polynomial and the adjugate from that pass, the root
-isolation and the numeric spectrum down the chain, with no module-level
-cache.  The real roots and their multiplicities are decided
-exactly: the polynomial is cleared to integers once, and Yun's
-square-free decomposition (gcds by a primitive pseudo-remainder sequence),
-the Sturm sequences and the bisection (integer numerators over a
-power-of-two denominator) all run on primitive integer polynomials.
+``exact_linalg`` on A once per instance and returns it with the
+characteristic polynomial read from it, the root isolation and the
+numeric spectrum, with no module-level cache; `smallest_eig_vector`
+reads the adjugate and every eigenvector from the same pass.  The real
+roots and their multiplicities are decided exactly: the polynomial is
+cleared to integers once, and Yun's square-free decomposition (gcds by a
+primitive pseudo-remainder sequence), the Sturm sequences and the
+bisection (integer numerators over a power-of-two denominator) all run on
+primitive integer polynomials.
 Isolation takes no Sturm count beyond Fujiwara's root bound, where the
 count is that at infinity.  Refinement returns the interval that halving
 would, found at halving's stopping depth by exact sign probes; a float
@@ -553,11 +554,10 @@ def _classify_smallest(rroots: Sequence[RootInterval], pairs: Sequence[complex])
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """One instance's spectral pass, carried down the chain."""
+    """One instance's Faddeev-LeVerrier pass on A and what is read from it."""
 
     values: tuple[complex, ...]
     char_poly: Polynomial
-    adjugate: ExactMatrix
     faddeev: tuple[list[int], list[list[list[int]]], int]  # (c, Ns, d) of the pass on A
     roots: tuple[RootInterval, ...]
     smallest: SmallestEigen
@@ -570,23 +570,16 @@ def full_spectrum_numeric(A: ExactMatrix) -> SpectrumEstimate:
     isolation decides how many are real and near which roots they lie, and
     the others are forced into exact conjugate pairs.  The estimates
     describe the spectrum and decide no verdict.  The result also holds
-    one Faddeev-LeVerrier pass on A with the polynomial and the adjugate
-    read from it, the isolated real roots and the classified
-    minimum-modulus eigenvalue.
+    one Faddeev-LeVerrier pass on A with the polynomial read from it, the
+    isolated real roots and the classified minimum-modulus eigenvalue.
     """
-    c, Ns, d = faddeev = faddeev_leverrier(A)
+    c, _, d = faddeev = faddeev_leverrier(A)
     p = _char_poly(c, d)
     roots = tuple(real_roots(p, refine_to=ISOLATION_WIDTH))
     estimates = np.linalg.eigvals(np.array(A.to_float_rows(), dtype=float))
     values, pairs = _pair_conjugates([complex(z) for z in estimates], roots)
     values.sort(key=lambda z: (z.real, z.imag))
-    adj, smallest = adjugate_from_pass(Ns, d), _classify_smallest(roots, pairs)
-    return SpectrumEstimate(tuple(values), p, adj, faddeev, roots, smallest)
-
-
-def smallest_eigenvalue(A: ExactMatrix) -> SmallestEigen:
-    """Identify and classify the eigenvalue of minimum modulus."""
-    return full_spectrum_numeric(A).smallest
+    return SpectrumEstimate(tuple(values), p, faddeev, roots, _classify_smallest(roots, pairs))
 
 
 @dataclass(frozen=True)
@@ -633,6 +626,9 @@ def _normalizations(
     """v at unit norm with its first nonzero entry positive, and x / x[-1].
 
     The second is None when x[-1] = 0 or a ratio is beyond the float range.
+    Both are display values: a nonzero entry too small beside the largest
+    for a double (a ratio of 2e-400, say) shows as 0.0 in the first, while
+    the signing verdict reads its signs from the integers x.
     """
     unit = v / float(np.linalg.norm(v))
     lead = next((t for t in unit if t != 0), 1.0)
@@ -662,19 +658,23 @@ def smallest_eig_vector(A: ExactMatrix, tree: LabelledTree) -> SpectralSummary:
     of one strict sign, so every column is tree-signed.  Otherwise
     ``inverse-iteration`` takes the smallest real eigenvalue's interval.
     Reports no vector (route ``"none"``) when that eigenvalue is not real,
-    and when mu = lambda with an eigenspace of dimension >= 2.
+    and when mu = lambda with an eigenspace of dimension >= 2.  The float
+    vectors only display the column: a nonzero entry too small beside the
+    largest for a double shows as 0.0 in ``eigenvector_unit``
+    (`_normalizations`), while ``signing`` reads the integers.
     """
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
     spectrum = full_spectrum_numeric(A)
     p, smallest, roots = spectrum.char_poly, spectrum.smallest, spectrum.roots
-    check = adjugate_sign_check(spectrum.adjugate, tree)
-    if all(x == 0 for row in check.adjugate.rows for x in row):
+    c, Ns, d = spectrum.faddeev
+    if not any(map(any, Ns[-1])):  # adj(A) = (-1)^(n+1) N_(n-1) / d^(n-1)
         raise ArithmeticError("adjugate is identically zero: rank < n-1")
+    check = adjugate_sign_check(adjugate_from_pass(Ns, d), tree)
 
     route, interval = "none", None
     if check.ok:
-        det_a = (-1) ** A.n * p.coeffs[0]  # det(A) = (-1)^n p(0)
+        det_a = (-1) ** A.n * c[0]  # det(B) = (-1)^n c[0], B = dA: det A's sign
         route, interval = "adjugate-column", RootInterval(0, 0, 1)
         if det_a > 0:
             r = next(r for r in roots if r.hi > 0)
@@ -694,7 +694,6 @@ def smallest_eig_vector(A: ExactMatrix, tree: LabelledTree) -> SpectralSummary:
             lo, hi = _refine(interval.factor, lo, hi)
         mu = lo if lo >= 0 else hi
         # det(xI - B) is monic over the integers, so a rational lambda is k/d
-        c, _, d = spectrum.faddeev
         k = round(d * mu)
         if lo <= Fraction(k, d) <= hi and _sign_at(c, k, 1) == 0:
             mu = Fraction(k, d)

@@ -38,9 +38,16 @@ class TestGenConfig:
             GenConfig(tree=make_star(4, 1), max_attempts=0)
 
     def test_attempt_defaults(self):
-        assert GenConfig(tree=make_star(4, 1), repair=True).max_attempts == 1000
-        assert GenConfig(tree=make_star(4, 1)).max_attempts == 2_000_000
-        assert GenConfig(tree=make_star(4, 1), repair=True, max_attempts=7).max_attempts == 7
+        assert GenConfig(tree=make_star(4, 1), repair=True).budget == 1000
+        assert GenConfig(tree=make_star(4, 1)).budget == 2_000_000
+        assert GenConfig(tree=make_star(4, 1), repair=True, max_attempts=7).budget == 7
+
+    def test_budget_follows_replace(self):
+        # the default is resolved where it is spent, so switching the mode
+        # with `replace` switches the default with it
+        tree = make_star(4, 1)
+        assert replace(GenConfig(tree), repair=True).budget == 1000
+        assert replace(GenConfig(tree, max_attempts=7), repair=True).budget == 7
 
 
 class TestGenCandidate:

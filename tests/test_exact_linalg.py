@@ -278,7 +278,7 @@ class TestSylvester:
 class TestSignPattern:
     def test_signs(self):
         m = ExactMatrix([[Fraction(1, 2), 0], [-3, 7]])
-        assert sign_pattern(m).signs == ((1, 0), (-1, 1))
+        assert sign_pattern(m) == ((1, 0), (-1, 1))
 
 
 class TestTextFormat:

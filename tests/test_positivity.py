@@ -219,7 +219,7 @@ class TestPendantDeletionHypothesis:
 
 class TestPredictedAdjointSign:
     def test_star4_pattern(self):
-        pattern = predicted_adjoint_sign(make_star(4, 1)).signs
+        pattern = predicted_adjoint_sign(make_star(4, 1))
         assert pattern == (
             (1, -1, -1, -1),
             (-1, 1, 1, 1),
@@ -228,11 +228,11 @@ class TestPredictedAdjointSign:
         )
 
     def test_path2(self):
-        assert predicted_adjoint_sign(make_path((1, 2))).signs == ((1, -1), (-1, 1))
+        assert predicted_adjoint_sign(make_path((1, 2))) == ((1, -1), (-1, 1))
 
     def test_pitchfork_rank_one_structure(self):
         s = (1, -1, -1, -1, 1)
-        pattern = predicted_adjoint_sign(make_pitchfork()).signs
+        pattern = predicted_adjoint_sign(make_pitchfork())
         for i in range(5):
             for j in range(5):
                 assert pattern[i][j] == s[i] * s[j]

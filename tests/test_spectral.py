@@ -24,7 +24,6 @@ from treetp import (
     make_star,
     real_roots,
     smallest_eig_vector,
-    smallest_eigenvalue,
 )
 from treetp import test_conjecture as run_conjecture
 import treetp
@@ -283,32 +282,32 @@ class TestFullSpectrum:
 
 class TestSmallestEigenvalue:
     def test_worked_4x4(self):
-        s = smallest_eigenvalue(STAR4_EXAMPLE.matrix)
+        s = full_spectrum_numeric(STAR4_EXAMPLE.matrix).smallest
         assert s.is_real and s.is_simple
         assert abs(s.estimate.real - 2.5) <= 0.05
         assert s.interval.width() <= Fraction(1, 10**12)
 
     def test_worked_pitchfork(self):
-        s = smallest_eigenvalue(PITCHFORK_COUNTEREXAMPLE.matrix)
+        s = full_spectrum_numeric(PITCHFORK_COUNTEREXAMPLE.matrix).smallest
         assert s.is_real and s.is_simple
         assert abs(s.estimate.real - (-2.54)) <= 0.01
 
     def test_identity_not_simple(self):
-        s = smallest_eigenvalue(ExactMatrix.identity(4))
+        s = full_spectrum_numeric(ExactMatrix.identity(4)).smallest
         assert s.is_real and s.is_simple is False and s.multiplicity == 4
         assert not s.ambiguous
 
     def test_equal_modulus_flags_ambiguous(self):
-        s = smallest_eigenvalue(ExactMatrix([[0, 1], [1, 0]]))  # eigenvalues +1, -1
+        s = full_spectrum_numeric(ExactMatrix([[0, 1], [1, 0]])).smallest  # eigenvalues +1, -1
         assert s.ambiguous
 
     def test_margin_value(self):
-        s = smallest_eigenvalue(ExactMatrix([[1, 0], [0, 2]]))
+        s = full_spectrum_numeric(ExactMatrix([[1, 0], [0, 2]])).smallest
         assert abs(s.modulus_margin - 0.5) < 1e-9
 
     def test_non_real_smallest(self):
         A = ExactMatrix([[1, -5, 0], [5, 1, 0], [0, 0, 100]])
-        s = smallest_eigenvalue(A)
+        s = full_spectrum_numeric(A).smallest
         assert not s.is_real
         assert abs(s.estimate - (1 + 5j)) < 1e-6
 
@@ -396,6 +395,34 @@ def test_one_eigenvector_algorithm():
     assert [name for name in deleted if hasattr(spectral, name)] == []
     assert not hasattr(treetp, "perron_vector")
     assert "adjoint_check" not in inspect.signature(smallest_eig_vector).parameters
+
+
+def test_one_adjugate_form_on_the_verdict_path(monkeypatch):
+    # the sign check compares plain integer tuples, and the one ExactMatrix
+    # adjugate is built once per instance, for the AdjointCheck that reports it
+    assert [name for name in ("SignMatrix", "Rational") if hasattr(treetp, name)] == []
+    assert not hasattr(spectral, "smallest_eigenvalue")
+    assert [f.name for f in dataclasses.fields(treetp.AdjointCheck)] == ["ok", "mismatches", "adjugate"]
+    assert "adjugate" not in {f.name for f in dataclasses.fields(spectral.SpectrumEstimate)}
+    calls = []
+    build = spectral.adjugate_from_pass
+
+    def counting(Ns, d):
+        calls.append(d)
+        return build(Ns, d)
+
+    monkeypatch.setattr(spectral, "adjugate_from_pass", counting)
+    full_spectrum_numeric(STAR4_EXAMPLE.matrix)
+    assert calls == []
+    cases = [
+        (STAR4_EXAMPLE.matrix, STAR4_EXAMPLE.tree, "adjugate-perron"),
+        (ExactMatrix([[1, 2], [2, 4]]), make_path((1, 2)), "adjugate-column"),
+        (STAR5_COUNTEREXAMPLE.matrix, STAR5_COUNTEREXAMPLE.tree, "inverse-iteration"),
+    ]
+    for A, tree, route in cases:
+        calls.clear()
+        assert run_conjecture(A, tree).summary.route == route
+        assert len(calls) == 1
 
 
 @pytest.fixture
