@@ -15,9 +15,14 @@ failing ones first, then the passing ones, rejecting exactly as soon as
 the weighted count would rise.  A proposal is kept iff the
 count does not rise, the same rule as a full recount.  Rejection
 sampling takes the first candidate of a batch with no violation
-(``screen_batch_vectorized``), after an int64 numpy prefilter of the minors
-of size <= 3 whenever they provably fit.  Every candidate either mode
-accepts is re-checked by ``positivity`` before it is reported.
+(``screen_batch_vectorized``).  The screen evaluates each minor in int64
+numpy arithmetic over the whole batch at once, but only on the candidates
+that passed every minor before it, and only when ``int64_screen_safe``
+proves that minors of its size fit; the few survivors are checked against
+the remaining minors in Python integers.  ``conjecture_lab`` hands it the
+distinct minors smallest first, so most candidates drop out at the cheap
+2x2 minors.  Every candidate either mode accepts is re-checked by
+``positivity`` before it is reported.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from .positivity import hypothesis_plan
 from .tree_model import LabelledTree
 
 INT64_GUARD = 2**63
+_INT64_FORMS = 5  # minor_value runs on int64 stacks through its 5x5 closed form
 
 # ordered, 0-based (rows, cols) index tuples
 Minor = tuple[tuple[int, ...], tuple[int, ...]]
@@ -41,9 +47,12 @@ Minor = tuple[tuple[int, ...], tuple[int, ...]]
 def int64_screen_safe(max_minor_size: int, hi: int) -> bool:
     """True when every minor of at most this size provably fits in int64.
 
-    Minors of a k-by-k block with entries in [0, hi] are bounded by the
-    permanent, hence by k! * hi^k, and so is every partial sum of the
-    cofactor expansion used by the prefilter.
+    Minors of a k-by-k block with entries in [-hi, hi] are bounded by the
+    permanent of the all-hi block, k! * hi^k.  So is every intermediate
+    value of the closed forms ``_det1``..``_det5`` that ``minor_value``
+    runs on int64 stacks: each product, 2x2 minor, 3x3 minor of ``_det5``'s
+    rows 2-4 and partial sum of the Laplace expansions of ``_det4`` and
+    ``_det5`` is bounded by the permanent of the terms it expands to.
     """
     k = max(1, int(max_minor_size))
     return math.factorial(k) * (int(hi) ** k) < INT64_GUARD
@@ -159,22 +168,28 @@ def repair_chunk(
 def screen_batch_vectorized(batch: np.ndarray, minors: tuple[Minor, ...], hi: int) -> int:
     """Index of the first matrix in the (B, n, n) batch with no violation, or -1.
 
-    `minors` are the plan's distinct minors, in order.  With entries in
-    [0, hi] and the int64 guard met for 3x3 minors, those of size <= 3 are
-    evaluated over the whole batch in int64; only the survivors are checked
-    against the remaining minors in Python integers.
+    `minors` are the plan's distinct minors, in any order; the index does
+    not depend on it.  With entries in [-hi, hi], each minor of size k <= 5
+    for which ``int64_screen_safe(k, hi)`` holds is evaluated in int64 over
+    the candidates that passed every such minor before it, and the batch is
+    compacted to the ones it leaves positive, returning -1 once none is
+    left.  Only the survivors of that pass are checked, in batch order and
+    in Python integers, against the minors it skipped.
     """
-    survivors = range(batch.shape[0])
-    if int64_screen_safe(3, hi):
-        stack = batch.transpose(1, 2, 0)  # stack[r][c] is the view batch[:, r, c]
-        mask = np.ones(batch.shape[0], dtype=bool)
-        for rows, cols in minors:
-            if len(rows) <= 3:
-                mask &= minor_value(stack, rows, cols) > 0
-        minors = [m for m in minors if len(m[0]) > 3]
-        survivors = np.flatnonzero(mask).tolist()
-    for t in survivors:
-        a = batch[t].tolist()
-        if all(minor_value(a, rows, cols) > 0 for rows, cols in minors):
+    fits = {k: k <= _INT64_FORMS and int64_screen_safe(k, hi) for k in {len(r) for r, _ in minors}}
+    index = np.arange(batch.shape[0])
+    rest = []
+    for rows, cols in minors:
+        if not fits[len(rows)]:
+            rest.append((rows, cols))
+            continue
+        keep = np.flatnonzero(minor_value(batch.transpose(1, 2, 0), rows, cols) > 0)
+        if keep.size < index.size:
+            if keep.size == 0:
+                return -1
+            index = index.take(keep)
+            batch = batch.take(keep, axis=0)
+    for t, a in zip(index.tolist(), batch.tolist()):
+        if all(minor_value(a, rows, cols) > 0 for rows, cols in rest):
             return t
     return -1

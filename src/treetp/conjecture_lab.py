@@ -82,13 +82,17 @@ def _symmetrize(batch: np.ndarray) -> np.ndarray:
 def _compile(cfg: GenConfig):
     """The objective every slot of `cfg` evaluates, built once per batch.
 
-    A ``RepairPlan`` when repairing, else the plan's distinct minors for
-    the screen.
+    A ``RepairPlan`` when repairing, else the plan's distinct minors in
+    screen order: by size, smallest first, since the screen drops each
+    candidate at its first failing minor and most fail a 2x2 one, and 1x1
+    minors last.  Those are entries, which cannot fail once lo >= 1; the
+    screen still checks them, so it stays right for any batch.  Within a
+    size the plan's order is kept; the screen's answer does not depend on it.
     """
     plan = _kernels.minor_plan(cfg.tree, cfg.augmented)
     if cfg.repair:
         return _kernels.repair_plan(plan, cfg.tree.n, cfg.symmetric)
-    return tuple(dict.fromkeys(plan))
+    return tuple(sorted(dict.fromkeys(plan), key=lambda m: (len(m[0]) == 1, len(m[0]))))
 
 
 def _generate_slot(

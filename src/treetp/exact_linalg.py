@@ -291,8 +291,10 @@ def minor_value(a, rows, cols):
 
     `a` is a matrix as nested lists of ints.  Minors of size <= 5 are
     straight-line closed forms on Python ints; Bareiss runs only from 6x6
-    up.  For minors of size <= 3, `a` may also be an (n, n, B) int64
-    array, which gives the minors of a whole batch at once.
+    up.  For those closed forms `a` may also be an (n, n, B) int64 array,
+    which gives the minors of a whole batch at once; the caller must rule
+    out overflow (``_kernels.int64_screen_safe``), since numpy wraps
+    silently.
     """
     return _CLOSED_FORMS.get(len(rows), _det_bareiss)(rows, cols, a)
 

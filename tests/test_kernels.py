@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from treetp import (
     make_star,
     maximal_paths,
     minor,
+    parse_tree_spec,
     pendant_deletion_hypothesis,
     pendant_vertices,
 )
-from treetp import GenConfig, batch_verify, exact_linalg, positivity
+from treetp import GenConfig, batch_verify, conjecture_lab, exact_linalg, positivity
 from treetp import _kernels as kernels
 from treetp.fixtures import PITCHFORK_COUNTEREXAMPLE, STAR4_EXAMPLE
 
@@ -205,9 +207,12 @@ class TestScreenBatch:
         batch[137] = [[int(x) for x in row] for row in STAR4_EXAMPLE.matrix.rows]
         expected = first_hit(batch, tree)
         assert 0 <= expected <= 137
-        # 150 keeps the int64 prefilter on; 2**21 turns it off
+        # 150 runs every minor in int64; 2**21 keeps the 2x2 minors there and
+        # leaves the 3x3 ones to Python integers; 2**40 leaves every minor
+        # above 1x1 to Python integers
         assert kernels.screen_batch_vectorized(batch, plan, 150) == expected
         assert kernels.screen_batch_vectorized(batch, plan, 2**21) == expected
+        assert kernels.screen_batch_vectorized(batch, plan, 2**40) == expected
 
     def test_no_hit_returns_minus_one(self):
         plan = kernels.minor_plan(make_star(4, 1), False)
@@ -217,7 +222,7 @@ class TestScreenBatch:
 
     def test_vectorized_handles_long_paths(self, rng):
         # the pitchfork's 4-vertex maximal path has 4x4 initial minors,
-        # which the prefilter leaves to the Python-int check
+        # which run in int64 with the smaller ones at this entry range
         tree = make_pitchfork()
         plan = kernels.minor_plan(tree, False)
         batch = random_batch(rng, 300, 5, 90)
@@ -227,6 +232,155 @@ class TestScreenBatch:
         )
         assert per_matrix == first_hit(batch, tree)
         assert kernels.screen_batch_vectorized(batch, plan, 90) == per_matrix
+
+
+# one matrix meeting the hypothesis per (tree spec, augmented, symmetric),
+# from the seeded repair generator
+HITS = {
+    ("star:4", False, False): [[41, 142, 142, 15], [14, 133, 13, 3], [11, 35, 88, 2], [141, 115, 61, 89]],
+    ("star:4", False, True): [[33, 43, 48, 43], [43, 149, 40, 42], [48, 40, 143, 41], [43, 42, 41, 88]],
+    ("star:3:2", False, False): [[127, 28, 2], [148, 80, 9], [57, 80, 28]],
+    ("star:3:2", False, True): [[129, 31, 10], [31, 108, 54], [10, 54, 69]],
+    ("star:5", True, False): [
+        [34, 22, 27, 35, 15], [87, 135, 60, 50, 25], [141, 45, 148, 29, 62],
+        [94, 54, 70, 144, 33], [118, 16, 36, 111, 129],
+    ],
+    ("star:5", True, True): [
+        [105, 75, 50, 84, 65], [75, 113, 29, 37, 22], [50, 29, 84, 24, 30],
+        [84, 37, 24, 96, 51], [65, 22, 30, 51, 77],
+    ],
+    ("pitchfork", False, False): [
+        [113, 95, 111, 117, 58], [55, 52, 35, 23, 7], [48, 33, 93, 19, 4],
+        [41, 24, 29, 139, 130], [22, 12, 13, 101, 138],
+    ],
+    ("pitchfork", False, True): [
+        [81, 57, 79, 50, 31], [57, 146, 6, 24, 13], [79, 6, 122, 31, 19],
+        [50, 24, 31, 114, 99], [31, 13, 19, 99, 147],
+    ],
+}
+
+
+def reference_screen(batch, plan):
+    """First index whose matrix has every plan minor positive, or -1."""
+    for t in range(batch.shape[0]):
+        if kernels.hypothesis_violations(batch[t].tolist(), plan) == 0:
+            return t
+    return -1
+
+
+@pytest.mark.parametrize("hi", [150, 2**21, 2**40])
+@pytest.mark.parametrize("spec, augmented, symmetric", list(HITS), ids=lambda v: str(v))
+def test_screen_equals_first_hit_reference(spec, augmented, symmetric, hi):
+    tree = parse_tree_spec(spec)
+    n = tree.n
+    plan = kernels.minor_plan(tree, augmented)
+    cfg = GenConfig(tree, entry_range=(1, hi), augmented=augmented, symmetric=symmetric)
+    screen_order = conjecture_lab._compile(cfg)
+    assert sorted(screen_order) == sorted(set(plan))
+    sizes = [len(rows) for rows, _ in screen_order]
+    assert sizes == sorted(sizes, key=lambda k: (k == 1, k))
+    shuffled = list(plan)
+    random.Random(hi + n).shuffle(shuffled)
+    orders = [plan, screen_order, tuple(shuffled)]
+
+    # scaling every entry by c > 0 scales each k x k minor by c**k
+    hit = np.array(HITS[spec, augmented, symmetric], dtype=np.int64) * (hi // 150)
+    assert int(hit.max()) <= hi
+    assert kernels.hypothesis_violations(hit.tolist(), plan) == 0
+    gen = np.random.default_rng(hi % 1009 + n)
+
+    def random_fill(count):
+        batch = gen.integers(1, hi + 1, size=(count, n, n), dtype=np.int64)
+        return conjecture_lab._symmetrize(batch) if symmetric else batch
+
+    def check(batch, expected=None):
+        ref = reference_screen(batch, plan)
+        if expected is not None:
+            assert ref == expected
+        for minors in orders:
+            assert kernels.screen_batch_vectorized(batch, minors, hi) == ref
+
+    batch = random_fill(64)
+    check(batch)
+    batch[0] = hit
+    check(batch, 0)
+    batch = random_fill(64)
+    batch[-1] = hit
+    assert reference_screen(batch, plan) in range(64)
+    check(batch)
+
+    # every candidate fails the first minor of the screen order
+    rows, cols = screen_order[0]
+    emptied = random_fill(32)
+    emptied[:, rows[0], cols[0]] = emptied[:, rows[1], cols[1]] = 1
+    emptied[:, rows[0], cols[1]] = emptied[:, rows[1], cols[0]] = hi
+    check(emptied, -1)
+
+    # zero entries that fail 1x1 minors and no larger one
+    zeroed = []
+    for (i,), (j,) in {m for m in plan if len(m[0]) == 1}:
+        a = hit.copy()
+        a[i, j] = 0
+        if symmetric:
+            a[j, i] = 0
+        bad = [m for m in plan if kernels.minor_value(a.tolist(), *m) <= 0]
+        if bad and all(len(r) == 1 for r, _ in bad):
+            zeroed.append(a)
+    assert zeroed
+    batch = np.array(zeroed * (8 // len(zeroed) + 1), dtype=np.int64)
+    check(batch, -1)
+    batch[-1] = hit
+    check(batch, batch.shape[0] - 1)
+
+
+def test_emptied_batch_stops_after_its_first_minor(monkeypatch):
+    tree = make_star(4, 1)
+    screen_order = conjecture_lab._compile(GenConfig(tree))
+    (r0, r1), (c0, c1) = screen_order[0]
+    batch = np.ones((100, 4, 4), dtype=np.int64)
+    batch[:, r0, c1] = batch[:, r1, c0] = 2
+    calls = []
+
+    def counted(a, rows, cols):
+        calls.append((rows, cols))
+        return exact_linalg.minor_value(a, rows, cols)
+
+    monkeypatch.setattr(kernels, "minor_value", counted)
+    assert kernels.screen_batch_vectorized(batch, screen_order, 150) == -1
+    assert calls == [screen_order[0]]
+
+
+def largest_safe_hi(k):
+    lo, hi = 1, 2**63  # safe at lo, unsafe at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if kernels.int64_screen_safe(k, mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_int64_closed_forms_exact_at_the_guard_edge(k):
+    """At the largest hi the guard admits, the closed forms on an int64
+    (n, n, B) stack equal the Python-int values entry by entry.  The stacks
+    are the extremes: every 0/hi pattern up to 4x4 (a sample at 5x5, with
+    the all-hi block, whose cofactor expansions reach the permanent bound
+    k! * hi**k term by term), and a sample of -hi/0/hi patterns."""
+    hi = largest_safe_hi(k)
+    assert kernels.int64_screen_safe(k, hi) and not kernels.int64_screen_safe(k, hi + 1)
+    gen = np.random.default_rng(k)
+    if k <= 4:
+        bits = (np.arange(2 ** (k * k))[:, None] >> np.arange(k * k)) & 1
+    else:
+        bits = np.vstack([np.ones((1, k * k), dtype=np.int64), gen.integers(0, 2, size=(4096, k * k))])
+    signs = gen.integers(-1, 2, size=(4096, k * k))
+    batch = np.vstack([bits, signs]).astype(np.int64).reshape(-1, k, k) * hi
+    stack = batch.transpose(1, 2, 0)
+    matrices = batch.tolist()
+    for rows, cols in [(range(k), range(k)), (range(k)[::-1], range(k)), (range(k), [*range(1, k), 0])]:
+        rows, cols = tuple(rows), tuple(cols)
+        values = kernels.minor_value(stack, rows, cols)
+        assert values.dtype == np.int64
+        assert values.tolist() == [kernels.minor_value(a, rows, cols) for a in matrices]
 
 
 def reference_chunk(a, pos_i, pos_j, vals, plan, symmetric, current):
