@@ -24,6 +24,7 @@ _SEED_MASK = 2**64 - 1
 _BATCH = 4096
 _REPAIR_CHUNK = 2048
 _REPAIR_ROUNDS = 20_000  # proposals per repair start
+_INT64_MAX = 2**63 - 1  # entries are drawn as int64
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,8 @@ class GenConfig:
     None, ``budget`` reads it as 1,000 starts with ``repair`` and
     2,000,000 candidates without.
     Entries are drawn uniformly from ``entry_range``
-    (inclusive); positivity of the target class forces lo >= 1.
+    (inclusive); positivity of the target class forces lo >= 1, and the
+    int64 draw forces hi <= 2**63 - 1.
     """
 
     tree: LabelledTree
@@ -52,6 +54,8 @@ class GenConfig:
             raise ValueError("entry range must start at 1 or above")
         if hi < lo:
             raise ValueError("empty entry range")
+        if hi > _INT64_MAX:
+            raise ValueError("entry range must end at or below 2**63 - 1")
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
 
@@ -135,14 +139,14 @@ def _generate_repair(cfg, rplan, rng, n, lo, hi) -> tuple[ExactMatrix | None, in
         if cfg.symmetric:
             a = _symmetrize(a[None])[0]
         a = a.tolist()
-        current, bad = _kernels.repair_start(a, rplan)
+        current, values = _kernels.repair_start(a, rplan)
         rounds_left = _REPAIR_ROUNDS
         while rounds_left > 0 and current > 0:
             size = min(_REPAIR_CHUNK, rounds_left)
             pos_i = rng.integers(0, n, size=size, dtype=np.int64)
             pos_j = rng.integers(0, n, size=size, dtype=np.int64)
             vals = rng.integers(lo, hi + 1, size=size, dtype=np.int64)
-            current, used = _kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, bad, current)
+            current, used = _kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, values, current)
             rounds_left -= used
         if current == 0:
             candidate = ExactMatrix(a)

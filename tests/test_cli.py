@@ -256,6 +256,14 @@ class TestConjecture:
         report = report_from_json(out)
         assert report.trials == 2
 
+    def test_range_beyond_int64_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "conjecture", "--tree", "star:4", "--trials", "1",
+            "--range", "1:100000000000000000000",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: entry range must end at or below 2**63 - 1\n"
+
     def test_repair_attempt_default(self, capsys):
         code, out, _ = run(
             capsys, "conjecture", "--tree", "star:4", "--repair", "--trials", "1", "--json"

@@ -33,6 +33,13 @@ class TestGenConfig:
         with pytest.raises(ValueError):
             GenConfig(tree=make_star(4, 1), entry_range=(5, 4))
 
+    def test_rejects_range_beyond_int64(self):
+        GenConfig(tree=make_star(4, 1), entry_range=(1, 2**63 - 1))
+        with pytest.raises(ValueError, match=r"at or below 2\*\*63 - 1"):
+            GenConfig(tree=make_star(4, 1), entry_range=(1, 2**63))
+        with pytest.raises(ValueError, match=r"at or below 2\*\*63 - 1"):
+            GenConfig(tree=make_star(4, 1), entry_range=(1, 2**70))
+
     def test_rejects_zero_attempts(self):
         with pytest.raises(ValueError):
             GenConfig(tree=make_star(4, 1), max_attempts=0)

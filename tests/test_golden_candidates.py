@@ -92,3 +92,42 @@ def test_slot_zero_is_pinned(name):
     matrix, used = _generate_slot(GenConfig(**kwargs), 0)
     assert matrix is not None
     assert (matrix_to_text(matrix), used) == (text, attempts)
+
+
+# the later slots the benchmark's repair workloads run every round
+# (perfbench/run.py: slots 0-3 of seed 61 and 0-2 of seed 31); slot 0 of
+# each is pinned in GOLDEN above
+BENCHMARK_SLOTS = {
+    ("star6-aug-repair-s61", 1): (
+        "124 71 118 112 47 64\n121 145 86 51 20 53\n26 6 100 11 6 8\n"
+        "55 30 39 87 15 12\n108 58 27 82 68 43\n82 20 17 17 21 128\n",
+        1,
+    ),
+    ("star6-aug-repair-s61", 2): (
+        "126 56 61 138 51 80\n116 139 41 95 25 41\n125 39 130 119 36 33\n"
+        "114 44 49 148 22 56\n101 23 39 107 146 45\n70 20 2 68 12 118\n",
+        1,
+    ),
+    ("star6-aug-repair-s61", 3): (
+        "65 46 85 53 95 51\n82 139 100 64 72 60\n44 7 129 24 52 18\n"
+        "34 20 5 98 36 24\n58 22 43 47 127 28\n108 68 124 43 149 137\n",
+        1,
+    ),
+    ("pitchfork-sym-repair-s31", 1): (
+        "100 60 56 109 38\n60 68 26 51 14\n56 26 117 44 15\n109 51 44 144 64\n38 14 15 64 49\n",
+        1,
+    ),
+    ("pitchfork-sym-repair-s31", 2): (
+        "149 72 86 96 57\n72 99 40 2 1\n86 40 116 30 17\n96 2 30 143 89\n57 1 17 89 87\n",
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name, slot", sorted(BENCHMARK_SLOTS), ids=lambda v: str(v))
+def test_benchmark_repair_slots_are_pinned(name, slot):
+    kwargs = GOLDEN[name][0]
+    text, attempts = BENCHMARK_SLOTS[name, slot]
+    matrix, used = _generate_slot(GenConfig(**kwargs), slot)
+    assert matrix is not None
+    assert (matrix_to_text(matrix), used) == (text, attempts)

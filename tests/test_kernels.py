@@ -410,8 +410,8 @@ class TestRepairChunk:
         pos_i = np.array([rng.randrange(5) for _ in range(size)], dtype=np.int64)
         pos_j = np.array([rng.randrange(5) for _ in range(size)], dtype=np.int64)
         vals = np.array([rng.randint(1, 60) for _ in range(size)], dtype=np.int64)
-        start, bad = kernels.repair_start(a, rplan)
-        current, used = kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, bad, start)
+        start, values = kernels.repair_start(a, rplan)
+        current, used = kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, values, start)
         assert a == [list(row) for row in zip(*a)]
         assert current == kernels.hypothesis_violations(a, plan) <= start
         assert 0 < used <= size
@@ -423,8 +423,10 @@ class TestRepairChunk:
             (make_pitchfork(), False, True, 150),
             (make_pitchfork(), False, False, 60),
             (make_star(4, 1), False, False, 2**21),
+            (make_star(5, 1), True, True, 150),
         ],
-        ids=["star6-augmented", "pitchfork-symmetric", "pitchfork", "star4-big"],
+        ids=["star6-augmented", "pitchfork-symmetric", "pitchfork", "star4-big",
+             "star5-augmented-symmetric"],
     )
     def test_decisions_match_full_recount(self, tree, augmented, symmetric, hi):
         n = tree.n
@@ -437,7 +439,7 @@ class TestRepairChunk:
                 a = np.triu(a) + np.triu(a, 1).T
             a = a.tolist()
             ref = [row[:] for row in a]
-            current, bad = kernels.repair_start(a, rplan)
+            current, values = kernels.repair_start(a, rplan)
             ref_current = kernels.hypothesis_violations(ref, plan)
             assert current == ref_current
             for _ in range(12):
@@ -451,12 +453,92 @@ class TestRepairChunk:
                 vals = gen.integers(1, hi + 1, size=size, dtype=np.int64)
                 # proposals that leave the matrix as it is
                 vals[1::8] = [a[i][j] for i, j in zip(pos_i[1::8], pos_j[1::8])]
-                current, used = kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, bad, current)
+                current, used = kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, values, current)
                 ref_current, ref_used = reference_chunk(
                     ref, pos_i, pos_j, vals, plan, symmetric, ref_current
                 )
                 assert (a, current, used) == (ref, ref_current, ref_used)
-                assert bad == [kernels.minor_value(a, r, c) <= 0 for r, c in rplan.minors]
+                # the exact value of every distinct minor, then the empty minor's 1
+                assert values == [kernels.minor_value(a, r, c) for r, c in rplan.minors] + [1]
+
+
+def _term_value(term, values, d, a):
+    """The new value a repair term reads: see ``RepairPlan``."""
+    m, s, c, f = term
+    if f is None:
+        return values[m] + s * d * values[c]
+    if s:
+        return values[m] + s * d * f(a)
+    return f(a)
+
+
+@pytest.mark.parametrize(
+    "tree, augmented, symmetric, hi",
+    [
+        (make_star(6, 1), True, False, 150),
+        (make_pitchfork(), False, True, 150),
+        (make_pitchfork(), False, False, 150),
+        (make_star(5, 1), True, True, 150),
+        (make_star(4, 1), False, False, 2**40),
+    ],
+    ids=["star6-augmented", "pitchfork-symmetric", "pitchfork", "star5-augmented-symmetric",
+         "star4-2**40"],
+)
+def test_every_repair_term_is_exact(tree, augmented, symmetric, hi):
+    """Each term of each cell predicts the minor's value after a move there."""
+    n = tree.n
+    plan = kernels.minor_plan(tree, augmented)
+    rplan = kernels.repair_plan(plan, n, symmetric)
+    gen = random.Random(f"{tree.n}:{augmented}:{symmetric}:{hi}")
+    a = [[gen.randint(2, hi) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        a = [[a[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+    _, values = kernels.repair_start(a, rplan)
+    for i, j in itertools.product(range(n), repeat=2):
+        terms = rplan.cells[i * n + j]
+        touched = {
+            m for m, (rows, cols) in enumerate(rplan.minors)
+            if (i in rows and j in cols) or (symmetric and j in rows and i in cols)
+        }
+        assert set(terms) == touched
+        assert all(term[0] == m for m, term in terms.items())
+        old = a[i][j]
+        # d > 0, d < 0 and a move to 1
+        for v in (old + gen.randint(1, hi), gen.randint(1, old - 1), 1):
+            moved = [row[:] for row in a]
+            moved[i][j] = v
+            if symmetric:
+                moved[j][i] = v
+            for term in terms.values():
+                rows, cols = rplan.minors[term[0]]
+                oracle = laplace_det([[moved[r][c] for c in cols] for r in rows])
+                assert _term_value(term, values, v - old, moved) == oracle, (i, j, term)
+
+
+def test_repair_chunk_evaluates_no_5x5_minor(monkeypatch):
+    """On augmented star:6 every 5x5 minor's cofactor is a table entry or a
+    4x4 closed form, so only ``repair_start`` evaluates the 5x5 minors."""
+    calls = []
+
+    def counted_det5(rows, cols, a):
+        calls.append(rows)
+        return exact_linalg._det5(rows, cols, a)
+
+    monkeypatch.setitem(exact_linalg._CLOSED_FORMS, 5, counted_det5)
+    tree = make_star(6, 1)
+    rplan = kernels.repair_plan(kernels.minor_plan(tree, True), 6, False)
+    fives = sum(len(rows) == 5 for rows, _ in rplan.minors)
+    gen = np.random.default_rng(61)
+    for _ in range(3):
+        a = gen.integers(1, 151, size=(6, 6), dtype=np.int64).tolist()
+        current, values = kernels.repair_start(a, rplan)
+        assert len(calls) == fives
+        for _ in range(4):
+            pos_i, pos_j = gen.integers(0, 6, size=(2, 512), dtype=np.int64)
+            vals = gen.integers(1, 151, size=512, dtype=np.int64)
+            current, _ = kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, values, current)
+        assert len(calls) == fives
+        calls.clear()
 
 
 @pytest.mark.parametrize(
