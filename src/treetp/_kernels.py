@@ -3,21 +3,21 @@
 ``minor_plan`` is ``positivity.hypothesis_plan`` flat: every minor the
 hypothesis needs strictly positive, once per path or block that needs it.
 ``hypothesis_violations`` counts its non-positive minors in Python
-integers, which never overflow, so one code path serves every entry range.
+integers: the full recount that the tests hold repair's count against.
 
-Greedy repair drives that count to zero.  ``repair_plan`` compiles the
-plan into its distinct minors, each bound once to its evaluator (a
-closed form up to 5x5, so repair neither dispatches on size nor runs
-Bareiss), their multiplicities and, per entry, one term for each minor
-that holds it.  ``repair_start`` keeps the exact value of every distinct
-minor, and ``repair_chunk`` reads each touched minor's new value from
-that table as its old value plus the change times the entry's signed
-cofactor: a table entry when the cofactor is itself a plan minor, else
-one closed form a size smaller (a symmetric proposal evaluates a minor
-that holds both changed entries whole).  The failing minors go first,
-then the passing ones, rejecting exactly as soon as the weighted count
-would rise.  A proposal is kept iff the count does not rise, the same
-rule as a full recount.
+Greedy repair drives that count to zero, updated per proposal, not
+recounted.  ``repair_plan`` compiles the plan into its distinct minors,
+each bound once to its evaluator (a closed form up to 5x5, so repair
+neither dispatches on size nor runs Bareiss), their multiplicities and,
+per entry, one term for each minor that holds it.  ``repair_start``
+keeps the exact value of every distinct minor, and ``repair_chunk``
+reads each touched minor's new value from that table as its old value
+plus the change times the entry's signed cofactor: a table entry when
+the cofactor is itself a plan minor, else one closed form a size smaller
+(a symmetric proposal evaluates a minor that holds both changed entries
+whole).  The failing minors go first, then the passing ones, rejecting
+exactly as soon as the weighted count would rise.  A proposal is kept
+iff the count does not rise, the same rule as a full recount.
 
 Rejection sampling takes the first candidate of a batch with no
 violation (``screen_batch_vectorized``).  The screen evaluates each
@@ -27,7 +27,7 @@ on the candidates that passed every minor before it, and only when
 survivors are checked against the remaining minors in Python integers.
 ``conjecture_lab`` hands it the distinct minors smallest first, so most
 candidates drop out at the cheap 2x2 minors.  Every candidate either
-mode accepts is re-checked by ``positivity`` before it is reported.
+mode proposes is re-checked by ``positivity`` before it is reported.
 """
 from __future__ import annotations
 

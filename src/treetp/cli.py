@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when the requested verdict/reproduction passes, 1 when a
-verdict is false or a reproduction mismatches, 2 on usage or parse errors,
+verdict is false or a reproduction mismatches, 2 on usage, parse or
+exact-chain errors (a rank-1 matrix's zero adjugate under ``spectrum --tree``),
 141 (128 + SIGPIPE) when the reader closes standard output early (``| head``).
 
 Matrix arguments accept a file path or ``fixture:<name>`` for one of the
@@ -59,18 +60,20 @@ def _load_tree(spec: str):
         raise CliError(f"bad tree spec: {exc}") from exc
 
 
-def _nonneg_int(text: str) -> int:
-    """argparse type for a flag that takes an integer, 0 or more.
+def _int_at_least(low: int):
+    """argparse type for a flag that takes an integer, `low` or more.
 
     A non-integer gets argparse's own message for ``type=int``.
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
-    return value
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {low} or more, got {value}")
+        return value
+    return parse
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="smallest-eigenvalue classification and eigenvector")
     p.add_argument("matrix")
     p.add_argument("--tree", help="tree spec for the signing verdict")
-    p.add_argument("--precision", type=_nonneg_int, default=2)
+    p.add_argument("--precision", type=_int_at_least(0), default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
@@ -400,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augmented", action="store_true")
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--repair", action="store_true", help="greedy single-entry repair phase")
-    p.add_argument("--keep", type=_nonneg_int, default=5)
-    p.add_argument("--workers", type=int, default=1, help="worker processes; reports are identical for any count")
+    p.add_argument("--keep", type=_int_at_least(0), default=5)
+    p.add_argument("--workers", type=_int_at_least(1), default=1, help="worker processes; reports are identical for any count")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_conjecture)
 

@@ -99,46 +99,33 @@ def _compile(cfg: GenConfig):
     return tuple(sorted(dict.fromkeys(plan), key=lambda m: (len(m[0]) == 1, len(m[0]))))
 
 
-def _generate_slot(
-    cfg: GenConfig, slot: int, lane: int = 0, compiled=None
-) -> tuple[ExactMatrix | None, int]:
-    """One deterministic candidate stream; returns (matrix, attempts used).
-
-    `compiled` is ``_compile(cfg)``; it is built here when not given.
-    """
-    if compiled is None:
-        compiled = _compile(cfg)
-    rng = _rng_for(cfg, slot, lane)
+def _screened(cfg: GenConfig, minors, rng):
+    """Rejection proposals: each screened hit, with the candidates drawn through it."""
     n = cfg.tree.n
     lo, hi = cfg.entry_range
-    if cfg.repair:
-        return _generate_repair(cfg, compiled, rng, n, lo, hi)
-    attempts = 0
-    while attempts < cfg.budget:
-        size = min(_BATCH, cfg.budget - attempts)
+    drawn = 0
+    while drawn < cfg.budget:
+        size = min(_BATCH, cfg.budget - drawn)
         batch = rng.integers(lo, hi + 1, size=(size, n, n), dtype=np.int64)
         if cfg.symmetric:
             batch = _symmetrize(batch)
         start = 0
         while start < size:
-            idx = _kernels.screen_batch_vectorized(batch[start:], compiled, hi)
+            idx = _kernels.screen_batch_vectorized(batch[start:], minors, hi)
             if idx < 0:
-                attempts += size - start
                 break
-            attempts += idx + 1
-            candidate = ExactMatrix(batch[start + idx].tolist())
-            if _hypothesis_reports(candidate, cfg.tree, cfg.augmented).holds:
-                return candidate, attempts
             start += idx + 1
-    return None, attempts
+            yield batch[start - 1].tolist(), drawn + start
+        drawn += size
 
 
-def _generate_repair(cfg, rplan, rng, n, lo, hi) -> tuple[ExactMatrix | None, int]:
-    for attempt in range(cfg.budget):
+def _repaired(cfg: GenConfig, rplan, rng):
+    """Repair proposals: each start that reaches zero violations, with its 1-based index."""
+    n = cfg.tree.n
+    lo, hi = cfg.entry_range
+    for attempt in range(1, cfg.budget + 1):
         a = rng.integers(lo, hi + 1, size=(n, n), dtype=np.int64)
-        if cfg.symmetric:
-            a = _symmetrize(a[None])[0]
-        a = a.tolist()
+        a = (_symmetrize(a) if cfg.symmetric else a).tolist()
         current, values = _kernels.repair_start(a, rplan)
         rounds_left = _REPAIR_ROUNDS
         while rounds_left > 0 and current > 0:
@@ -149,9 +136,26 @@ def _generate_repair(cfg, rplan, rng, n, lo, hi) -> tuple[ExactMatrix | None, in
             current, used = _kernels.repair_chunk(a, pos_i, pos_j, vals, rplan, values, current)
             rounds_left -= used
         if current == 0:
-            candidate = ExactMatrix(a)
-            if _hypothesis_reports(candidate, cfg.tree, cfg.augmented).holds:
-                return candidate, attempt + 1
+            yield a, attempt
+
+
+def _generate_slot(
+    cfg: GenConfig, slot: int, lane: int = 0, compiled=None
+) -> tuple[ExactMatrix | None, int]:
+    """One deterministic candidate stream; returns (matrix, attempts used).
+
+    `compiled` is ``_compile(cfg)``; it is built here when not given.  The
+    mode's stream proposes matrices that meet every plan minor; this is the
+    one place each is re-checked exactly.  A rejected one resumes the
+    stream, and an exhausted stream returns (None, cfg.budget).
+    """
+    if compiled is None:
+        compiled = _compile(cfg)
+    proposals = (_repaired if cfg.repair else _screened)(cfg, compiled, _rng_for(cfg, slot, lane))
+    for rows, attempts in proposals:
+        candidate = ExactMatrix(rows)
+        if _hypothesis_reports(candidate, cfg.tree, cfg.augmented).holds:
+            return candidate, attempts
     return None, cfg.budget
 
 
@@ -310,18 +314,16 @@ def batch_verify(
     if trials < 0:
         raise ValueError(f"trials must be 0 or more, got {trials}")
     workers = max(1, min(workers, trials))
-    slots = list(range(trials))
     compiled = _compile(cfg)
+    chunks = [(cfg, compiled, range(w, trials, workers), _lane) for w in range(workers)]
     if workers == 1:
-        results = [_run_slot(cfg, compiled, s, _lane) for s in slots]
+        per_worker = map(_worker, chunks)
     else:
-        chunks = [(cfg, compiled, slots[w::workers], _lane) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_worker = list(pool.map(_worker, chunks))
-        results = [None] * trials
-        for w, chunk in enumerate(chunks):
-            for s, r in zip(chunk[2], per_worker[w]):
-                results[s] = r
+    results = [None] * trials
+    for w, chunk_results in enumerate(per_worker):
+        results[w::workers] = chunk_results
     generated = counterexamples = 0
     exemplars = []
     for r in results:

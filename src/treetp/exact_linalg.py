@@ -1,11 +1,12 @@
 """Exact rational dense linear algebra on small square matrices.
 
 Everything here is exact; no operation ever rounds.  The work runs on
-Python integers: ``clear_denominators`` scales rationals to integers, so
-``det`` and ``minor`` are fraction-free Bareiss eliminations on integer
-rows, and ``faddeev_leverrier`` is one integer pass on A = B/d that gives
-the characteristic polynomial's coefficients and every matrix coefficient
-of adj(xI - B), the adjugate among them (singular matrices included).
+Python integers: an ``ExactMatrix`` builds its integer form ``cleared`` =
+(B, d), A = B/d with d > 0, once, and every exact reader takes it.  ``det``
+and ``minor`` are fraction-free Bareiss eliminations on B, and
+``faddeev_leverrier`` is one integer pass on B that gives the
+characteristic polynomial's coefficients and every matrix coefficient of
+adj(xI - B), the adjugate among them (singular matrices included).
 ``minor_value`` evaluates minors of an integer matrix up to 5x5 in
 straight-line closed forms and runs Bareiss only from 6x6 up;
 ``minor_evaluator`` binds one minor to its form once, and ``det`` stays
@@ -65,9 +66,9 @@ def _to_rational(value) -> Fraction:
 
 
 class ExactMatrix:
-    """Immutable square matrix of exact rationals."""
+    """Immutable square matrix of exact rationals; ``cleared`` = (B, d), B/d = A."""
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_rows", "cleared")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         data = tuple(tuple(_to_rational(x) for x in row) for row in rows)
@@ -76,8 +77,11 @@ class ExactMatrix:
             raise ValueError("matrix must have at least one row")
         if any(len(row) != n for row in data):
             raise ValueError("matrix must be square")
+        ints, d = clear_denominators(x for row in data for x in row)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", data)
+        B = tuple(tuple(ints[i * n : (i + 1) * n]) for i in range(n))
+        object.__setattr__(self, "cleared", (B, d))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -127,7 +131,9 @@ class ExactMatrix:
         return self._rows == tuple(zip(*self._rows))
 
     def to_float_rows(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self._rows]
+        # int true division rounds correctly, as float(Fraction) does
+        B, d = self.cleared
+        return [[x / d for x in row] for row in B]
 
 
 def _check_lists(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> tuple[IndexList, IndexList]:
@@ -156,15 +162,10 @@ def clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def clear_rows(A: ExactMatrix) -> tuple[tuple[list[int], ...], tuple[int, ...]]:
-    """(the rows of A scaled to integers, the positive scale of each row)."""
-    return tuple(zip(*map(clear_denominators, A.rows)))
-
-
 def _det_int(rows: list[list[int]]) -> int:
     """Bareiss fraction-free elimination for integer matrices."""
     n = len(rows)
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -310,11 +311,11 @@ def minor_evaluator(rows, cols):
 def det(A: ExactMatrix) -> Fraction:
     """Exact determinant via fraction-free elimination.
 
-    Denominators are cleared row by row first so the elimination runs over
-    plain integers with no intermediate fractions.
+    The elimination runs on the integer form B of A = B/d, with no
+    intermediate fractions, and det A = det B / d^n.
     """
-    int_rows, scales = clear_rows(A)
-    return Fraction(_det_int(int_rows), math.prod(scales))
+    B, d = A.cleared
+    return Fraction(_det_int(B), d**A.n)
 
 
 def minor(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -323,7 +324,7 @@ def minor(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
 
 
 def faddeev_leverrier(A: ExactMatrix) -> tuple[list[int], list[list[list[int]]], int]:
-    """One integer Faddeev-LeVerrier pass: (c, Ns, d) with A = B/d, B integer.
+    """One integer Faddeev-LeVerrier pass on ``A.cleared`` = (B, d): (c, Ns, d).
 
     c[k] is the coefficient of x^k in det(xI - B), so det(xI - A) has
     coefficient c[k] / d^(n-k).  The recurrence N_0 = I,
@@ -333,8 +334,7 @@ def faddeev_leverrier(A: ExactMatrix) -> tuple[list[int], list[list[list[int]]],
     at x = 0 adj(B) = (-1)^(n+1) N_(n-1) for every B, singular included.
     """
     n = A.n
-    ints, d = clear_denominators(x for row in A.rows for x in row)
-    B = [ints[i * n : (i + 1) * n] for i in range(n)]
+    B, d = A.cleared
     cols = list(zip(*B))
     c = [0] * (n + 1)
     c[n] = 1
@@ -371,12 +371,6 @@ def adjugate(A: ExactMatrix) -> ExactMatrix:
     return adjugate_from_pass(Ns, d)
 
 
-def _minor_or_one(A: ExactMatrix, rows: IndexList, cols: IndexList) -> Fraction:
-    if len(rows) == 0:
-        return Fraction(1)
-    return minor(A, rows, cols)
-
-
 def sylvester_rhs(A: ExactMatrix, alpha: Sequence[int], beta: Sequence[int]) -> Fraction:
     """Quotient-of-minors expansion of det A[alpha; beta].
 
@@ -388,7 +382,7 @@ def sylvester_rhs(A: ExactMatrix, alpha: Sequence[int], beta: Sequence[int]) -> 
     alpha, beta = _check_lists(A, alpha, beta)
     if len(alpha) < 2:
         raise ValueError("index lists must have length >= 2")
-    central = _minor_or_one(A, alpha.drop_ends(), beta.drop_ends())
+    central = minor(A, alpha.drop_ends(), beta.drop_ends()) if len(alpha) > 2 else Fraction(1)
     if central == 0:
         raise SylvesterInapplicableError(
             f"central minor det A[{alpha.drop_ends()}; {beta.drop_ends()}] is zero"
@@ -402,8 +396,8 @@ def sylvester_rhs(A: ExactMatrix, alpha: Sequence[int], beta: Sequence[int]) -> 
 
 
 def sign_pattern(A: ExactMatrix) -> tuple[tuple[int, ...], ...]:
-    """Entrywise exact signs in {-1, 0, 1}, read from the numerators."""
-    return tuple(tuple((x.numerator > 0) - (x.numerator < 0) for x in row) for row in A.rows)
+    """Entrywise exact signs in {-1, 0, 1}, read from B of A = B/d, since d > 0."""
+    return tuple(tuple((x > 0) - (x < 0) for x in row) for row in A.cleared[0])
 
 
 # --- matrix text format -------------------------------------------------

@@ -7,14 +7,14 @@ is TP.  Every path extends to a leaf-to-leaf path and TP is inherited by
 submatrices, so only maximal paths are checked.
 
 ``hypothesis_plan`` is the one definition of the hypothesis as minors that
-must be positive.  The predicates evaluate it with ``minor_value`` on rows
-cleared to integers once per call; the generator reads it flattened
-(``_kernels.minor_plan``); ``all-minors`` stays on ``minor``, the reference.
+must be positive.  The predicates evaluate it with ``minor_value`` on the
+matrix's integer form ``ExactMatrix.cleared``, built once with the matrix;
+the generator reads it flattened (``_kernels.minor_plan``); ``all-minors``
+stays on ``minor``, the reference.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +22,6 @@ from .exact_linalg import (
     ExactMatrix,
     IndexList,
     adjugate,
-    clear_rows,
     minor,
     minor_value,
     sign_pattern,
@@ -146,11 +145,11 @@ def hypothesis_plan(tree: LabelledTree, augmented: bool):
 def _first_nonpositive(cleared, minors, path: TreePath | None = None):
     """(all positive, witness of the first non-positive minor or None, minors checked).
 
-    Row scales are positive, so every minor of the cleared rows keeps its
-    sign; a witness divides it by its rows' scales, and names each row and
-    column by its 1-based position along `path`, else by its 1-based index.
+    `cleared` is ``ExactMatrix.cleared`` = (B, d), d > 0, so a k x k minor of
+    B has the sign of A's; a witness divides it by d^k, and names each row
+    and column by its 1-based position along `path`, else by its 1-based index.
     """
-    a, scales = cleared
+    a, d = cleared
     order = range(1, len(a) + 1) if path is None else path.vertices
     checked = 0
     for rows, cols in minors:
@@ -160,7 +159,7 @@ def _first_nonpositive(cleared, minors, path: TreePath | None = None):
             witness = TpWitness(
                 IndexList(order.index(r + 1) + 1 for r in rows),
                 IndexList(order.index(c + 1) + 1 for c in cols),
-                Fraction(value, math.prod(scales[r] for r in rows)),
+                Fraction(value, d ** len(rows)),
             )
             return False, witness, checked
     return True, None, checked
@@ -176,7 +175,7 @@ def is_tp(M: ExactMatrix, mode: str = "initial-minors") -> TpReport:
     if mode not in TP_MODES:
         raise ValueError(f"mode must be one of {TP_MODES}, got {mode!r}")
     if mode == "initial-minors":
-        return TpReport(*_first_nonpositive(clear_rows(M), _initial_minors(tuple(range(M.n)))))
+        return TpReport(*_first_nonpositive(M.cleared, _initial_minors(tuple(range(M.n)))))
     # "all-minors" stays on `minor`, an independent reference for the above
     checked = 0
     for rows, cols in _all_minor_lists(M.n):
@@ -204,7 +203,7 @@ def is_t_tp(A: ExactMatrix, tree: LabelledTree, mode: str = "initial-minors") ->
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
     if mode == "initial-minors":
-        return _path_report(clear_rows(A), hypothesis_plan(tree, False)[0])
+        return _path_report(A.cleared, hypothesis_plan(tree, False)[0])
     # `is_tp` rejects an unknown mode
     checks = tuple(PathCheck(p, is_tp(path_matrix(A, p), mode)) for p in maximal_paths(tree))
     return TtpReport(all(c.report.is_tp for c in checks), checks)
@@ -212,7 +211,7 @@ def is_t_tp(A: ExactMatrix, tree: LabelledTree, mode: str = "initial-minors") ->
 
 def is_p_matrix(M: ExactMatrix) -> PMatrixReport:
     """All principal minors strictly positive; witnesses surface smallest-first."""
-    return PMatrixReport(*_first_nonpositive(clear_rows(M), _principal_minors(range(M.n))))
+    return PMatrixReport(*_first_nonpositive(M.cleared, _principal_minors(range(M.n))))
 
 
 def pendant_deletion_hypothesis(A: ExactMatrix, tree: LabelledTree) -> HypothesisReport:
@@ -222,12 +221,12 @@ def pendant_deletion_hypothesis(A: ExactMatrix, tree: LabelledTree) -> Hypothesi
     """
     if A.n != tree.n:
         raise ValueError(f"matrix is {A.n}x{A.n} but tree has {tree.n} vertices")
-    cleared = clear_rows(A)
     paths, pendants = hypothesis_plan(tree, True)
     checks = tuple(
-        PendantCheck(p, PMatrixReport(*_first_nonpositive(cleared, minors))) for p, minors in pendants
+        PendantCheck(p, PMatrixReport(*_first_nonpositive(A.cleared, minors)))
+        for p, minors in pendants
     )
-    return HypothesisReport(_path_report(cleared, paths), checks)
+    return HypothesisReport(_path_report(A.cleared, paths), checks)
 
 
 def predicted_adjoint_sign(tree: LabelledTree) -> tuple[tuple[int, ...], ...]:

@@ -285,6 +285,15 @@ class TestConjecture:
         assert out == ""
         assert "--keep" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        code, out, err = run(
+            capsys, "conjecture", "--tree", "star:4", "--trials", "1", "--workers", workers
+        )
+        assert code == 2
+        assert out == ""
+        assert "--workers" in err and f"must be 1 or more, got {workers}" in err
+
     def test_negative_trials_exit_2(self, capsys):
         code, out, err = run(
             capsys, "conjecture", "--tree", "star:3", "--trials", "-2", "--json"

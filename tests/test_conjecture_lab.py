@@ -11,6 +11,7 @@ from treetp import (
     is_t_tp,
     make_pitchfork,
     make_star,
+    matrix_to_text,
     pendant_deletion_hypothesis,
     report_from_json,
     report_to_json,
@@ -22,6 +23,7 @@ from treetp.fixtures import (
     STAR4_EXAMPLE,
     STAR5_COUNTEREXAMPLE,
 )
+from treetp.positivity import HypothesisReport, TtpReport
 
 
 class TestGenConfig:
@@ -197,6 +199,18 @@ class TestBatchVerify:
         parallel = batch_verify(cfg, 6, keep=2, workers=2)
         assert report_to_json(serial) == report_to_json(parallel)
 
+    def test_exemplars_follow_slot_order(self):
+        # each worker runs every workers-th slot; the merge puts them back
+        cfg = GenConfig(
+            tree=make_star(5, 1), entry_range=(1, 150), seed=44, repair=True,
+            max_attempts=30,
+        )
+        slots = [conjecture_lab._generate_slot(cfg, s)[0] for s in range(6)]
+        for workers in (1, 2):
+            kept = [e.matrix for e in batch_verify(cfg, 6, keep=6, workers=workers).exemplars]
+            assert len(kept) == 5
+            assert kept == [m for m in slots if m in kept]
+
     def test_pool_never_larger_than_trials(self, monkeypatch):
         # a pool starts all max_workers processes at its first submit; this
         # fake records the size asked for and maps in-process instead
@@ -310,3 +324,48 @@ class TestSweep:
         results = sweep_trees(3, cfg, trials_per_tree=1)
         trees = [t for t, _ in results]
         assert len({t.edges for t in trees}) == 3
+
+
+class TestExactRecheck:
+    """The generator's exact re-check, and what a slot returns when it fails."""
+
+    # slot 0 with every other re-check forced to fail, recorded before the
+    # two generation modes shared one re-check: (matrix, attempts)
+    SECOND_HITS = {
+        "star4-sym-reject-s7": (
+            dict(tree=make_star(4, 1), seed=7, symmetric=True),
+            "114 55 48 90\n55 81 1 34\n48 1 134 21\n90 34 21 107\n",
+            2054,
+        ),
+        "star5-aug-repair-s13": (
+            dict(tree=make_star(5, 1), seed=13, augmented=True, repair=True, max_attempts=20),
+            "135 47 95 139 119\n132 124 30 26 106\n140 38 131 73 111\n30 2 21 139 21\n"
+            "84 20 38 26 113\n",
+            2,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SECOND_HITS))
+    def test_rejected_candidate_resumes_the_stream(self, monkeypatch, name):
+        calls = []
+        recheck = conjecture_lab._hypothesis_reports
+
+        def every_other_fails(A, tree, augmented):
+            calls.append(A)
+            if len(calls) % 2:
+                return HypothesisReport(TtpReport(False, ()), ())
+            return recheck(A, tree, augmented)
+
+        monkeypatch.setattr(conjecture_lab, "_hypothesis_reports", every_other_fails)
+        kwargs, text, attempts = self.SECOND_HITS[name]
+        matrix, used = conjecture_lab._generate_slot(GenConfig(**kwargs), 0)
+        assert (matrix_to_text(matrix), used) == (text, attempts)
+        assert len(calls) == 2 and calls[0] != matrix
+
+    def test_repair_exhaustion_returns_the_budget(self):
+        # every proposal rewrites an entry to 1, a no-op, and the all-ones
+        # matrix fails every 2x2 minor, so no start can reach zero
+        cfg = GenConfig(make_star(4, 1), entry_range=(1, 1), repair=True, max_attempts=2)
+        assert conjecture_lab._generate_slot(cfg, 0) == (None, 2)
+        report = batch_verify(cfg, 2)
+        assert (report.generated, report.counterexamples, report.exemplars) == (0, 0, ())
