@@ -12,15 +12,14 @@ bisection (integer numerators over a power-of-two denominator) all run on
 primitive integer polynomials.
 Isolation takes no Sturm count beyond Fujiwara's root bound, where the
 count is that at infinity.  Refinement returns the interval that halving
-would, found at halving's stopping depth by exact sign probes; a float
-root estimate from ``np.roots`` orders the probes and decides nothing.
-The n eigenvalue estimates come from one LAPACK ``eigvals`` call on A, not
-from the rounded polynomial, and the exact real roots sort them into real
-values and conjugate pairs; they describe the spectrum and decide no
-verdict.  Every eigenvector is one integer column of adj(mu I - A), read
-from the same pass, which keeps every N_k of adj(xI - A): mu is within
-2^-53 |mu| of the least-modulus eigenvalue lambda, and equal to it when
-lambda is rational.  An eigenspace of dimension >= 2 reports no vector.
+would, found at halving's stopping depth by exact sign probes.  The n
+eigenvalue estimates come from one LAPACK ``eigvals`` call on A, not from
+the rounded polynomial.  They order refinement's probes, and the exact
+real roots sort them into real values and conjugate pairs; they describe
+the spectrum and decide no interval and no verdict.  Every eigenvector is
+one integer column of adj(mu I - A), read from the same pass, which keeps
+every N_k of adj(xI - A): mu is within 2^-53 |mu| of the least-modulus
+eigenvalue lambda, and equal to it when lambda is rational.  An eigenspace of dimension >= 2 reports no vector.
 """
 from __future__ import annotations
 
@@ -434,8 +433,20 @@ def _estimate_in(estimates: list[complex], lo: Fraction, hi: Fraction) -> float 
     return min(inside, key=lambda w: abs(w.imag)).real if inside else None
 
 
-def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInterval]:
-    """Isolating intervals with exact multiplicities for all real roots of p."""
+def real_roots(
+    p: Polynomial,
+    refine_to: Fraction | None = None,
+    *,
+    estimates: Sequence[complex] | None = None,
+) -> list[RootInterval]:
+    """Isolating intervals with exact multiplicities for all real roots of p.
+
+    Intervals that meet are narrowed until disjoint, except proper ones of
+    one factor that share an end: isolation peels off any root it hits at
+    a bisection midpoint, so that end is no root.
+    A float estimate in a wider interval than `refine_to`, from
+    `estimates` or else ``np.roots``, orders its refinement's probes.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined roots")
     found: list[tuple[Fraction, Fraction, int, tuple[int, ...]]] = []
@@ -450,6 +461,8 @@ def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInt
         for i, j in itertools.combinations(range(len(found)), 2):
             lo1, hi1, m1, f1 = found[i]
             lo2, hi2, m2, f2 = found[j]
+            if f1 == f2 and lo1 != hi1 and lo2 != hi2 and (hi1 == lo2 or hi2 == lo1):
+                continue  # they only touch, at a bisection midpoint that is no root of f1
             if hi1 >= lo2 and hi2 >= lo1:
                 if lo1 != hi1:
                     found[i] = (*_refine(f1, lo1, hi1, (hi1 - lo1) / 4), m1, f1)
@@ -458,12 +471,12 @@ def real_roots(p: Polynomial, refine_to: Fraction | None = None) -> list[RootInt
                     found[j] = (*_refine(f2, lo2, hi2, (hi2 - lo2) / 4), m2, f2)
                     changed = True
     out = []
-    estimates: dict[tuple[int, ...], list[complex]] = {}  # one np.roots call per factor
+    per_factor: dict[tuple[int, ...], list[complex]] = {}  # np.roots, when no estimates are given
     for lo, hi, mult, f_ints in found:
         if refine_to is not None and hi - lo > refine_to:
-            if f_ints not in estimates:
-                estimates[f_ints] = _root_estimates(f_ints)
-            guess = _estimate_in(estimates[f_ints], lo, hi)
+            if estimates is None and f_ints not in per_factor:
+                per_factor[f_ints] = _root_estimates(f_ints)
+            guess = _estimate_in(per_factor[f_ints] if estimates is None else estimates, lo, hi)
             lo, hi = _refine(f_ints, lo, hi, refine_to, guess)
         out.append(RootInterval(lo, hi, mult, f_ints))
     out.sort(key=lambda r: r.lo + r.hi)
@@ -568,16 +581,17 @@ def full_spectrum_numeric(A: ExactMatrix) -> SpectrumEstimate:
 
     One ``np.linalg.eigvals`` call proposes the values; the exact root
     isolation decides how many are real and near which roots they lie, and
-    the others are forced into exact conjugate pairs.  The estimates
-    describe the spectrum and decide no verdict.  The result also holds
+    the others are forced into exact conjugate pairs.  The estimates also
+    order the isolation's refinement probes; they decide no interval and
+    no verdict.  The result also holds
     one Faddeev-LeVerrier pass on A with the polynomial read from it, the
     isolated real roots and the classified minimum-modulus eigenvalue.
     """
     c, _, d = faddeev = faddeev_leverrier(A)
     p = _char_poly(c, d)
-    roots = tuple(real_roots(p, refine_to=ISOLATION_WIDTH))
-    estimates = np.linalg.eigvals(np.array(A.to_float_rows(), dtype=float))
-    values, pairs = _pair_conjugates([complex(z) for z in estimates], roots)
+    estimates = [complex(z) for z in np.linalg.eigvals(np.array(A.to_float_rows(), dtype=float))]
+    roots = tuple(real_roots(p, refine_to=ISOLATION_WIDTH, estimates=estimates))
+    values, pairs = _pair_conjugates(estimates, roots)
     values.sort(key=lambda z: (z.real, z.imag))
     return SpectrumEstimate(tuple(values), p, faddeev, roots, _classify_smallest(roots, pairs))
 

@@ -15,6 +15,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treetp import ExactMatrix, char_poly, real_roots
@@ -84,6 +85,18 @@ def test_every_corpus_matrix_is_pinned(golden):
 @pytest.mark.parametrize("name", sorted(MATRICES))
 def test_roots_are_pinned(golden, name):
     assert observe(MATRICES[name]) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_any_estimates_give_the_same_roots(name):
+    # the eigenvalue estimates only order refinement's probes: exact ones,
+    # none and ones off by a relative 1e-3 give the default call's intervals
+    A = ExactMatrix(MATRICES[name])
+    p = char_poly(A)
+    eig = [complex(z) for z in np.linalg.eigvals(np.array(A.to_float_rows(), dtype=float))]
+    expected = real_roots(p, refine_to=ISOLATION_WIDTH)
+    for estimates in (eig, [], [z * (1 + 1e-3) for z in eig]):
+        assert real_roots(p, refine_to=ISOLATION_WIDTH, estimates=estimates) == expected
 
 
 if __name__ == "__main__":

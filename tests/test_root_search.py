@@ -282,3 +282,64 @@ def test_sign_evaluations_are_fewer_than_half_of_halving(monkeypatch):
         real_roots(p, refine_to=ISOLATION_WIDTH)
     assert len(polys) == 299
     assert calls <= 0.45 * 111_877
+
+
+def test_refine_runs_once_per_root_interval(monkeypatch):
+    # before touching intervals of one factor were left alone, the narrowing
+    # loop refined them to a quarter and refined the result again (18,459
+    # calls to _sign_at over the corpus); and before the eigenvalue estimates
+    # steered the probes, each factor made one np.roots call
+    spans, calls = [], 0
+    refine, sign_at = spectral._refine, spectral._sign_at
+
+    def recorded(f, lo, hi, *args):
+        spans.append((lo, hi))
+        return refine(f, lo, hi, *args)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sign_at(*args)
+
+    def no_estimates(f):
+        raise AssertionError("np.roots estimates asked for")
+
+    monkeypatch.setattr(spectral, "_refine", recorded)
+    monkeypatch.setattr(spectral, "_sign_at", counted)
+    monkeypatch.setattr(spectral, "_root_estimates", no_estimates)
+    for rows in CORPUS_MATRICES:
+        spans.clear()
+        roots = spectral.full_spectrum_numeric(ExactMatrix(rows)).roots
+        assert len(set(spans)) == len(spans) <= len(roots), rows
+    assert len(CORPUS_MATRICES) == 299
+    assert calls <= 0.15 * 111_877  # unsteered probes would make about 68,500
+
+
+def _holds_root_of(square: int, r: spectral.RootInterval) -> bool:
+    """Whether r holds sqrt(square) or, when r lies below 0, -sqrt(square)."""
+    lo, hi = (r.lo, r.hi) if r.lo >= 0 else (-r.hi, -r.lo)
+    return lo >= 0 and lo**2 < square < hi**2
+
+
+class TestTouchingIntervals:
+    def test_touching_intervals_of_one_factor_are_kept(self):
+        # x^2 - 2 isolates from the Cauchy bound 3 and halves once, at 0
+        roots = real_roots(spectral.Polynomial([-2, 0, 1]))
+        assert [(r.lo, r.hi, r.multiplicity) for r in roots] == [(-3, 0, 1), (0, 3, 1)]
+
+    def test_point_touching_an_interval_of_its_factor_is_narrowed(self):
+        # x (x^2 - 6x - 4): isolation hits 0 at its first midpoint and peels it
+        # off, and x^2 - 6x - 4 then isolates in [-7, 0] and [0, 7]
+        roots = real_roots(spectral.Polynomial([0, -4, -6, 1]))
+        assert [(r.lo, r.hi) for r in roots if r.is_exact()] == [(0, 0)]
+        assert len(roots) == 3 and all(a.hi < b.lo for a, b in zip(roots, roots[1:]))
+
+    @pytest.mark.parametrize("refine_to", [None, ISOLATION_WIDTH])
+    def test_overlapping_intervals_of_two_factors_are_narrowed(self, refine_to):
+        # (x^2 - 2)^2 (x^2 - 3): x^2 - 2 isolates in [0, 3] and x^2 - 3 in
+        # [0, 4] (and their mirrors), which overlap
+        p = spectral.Polynomial([-12, 0, 16, 0, -7, 0, 1])
+        roots = real_roots(p, refine_to=refine_to)
+        assert [r.multiplicity for r in roots] == [1, 2, 2, 1]
+        assert all(a.hi < b.lo for a, b in zip(roots, roots[1:]))
+        assert all(_holds_root_of(sq, r) for r, sq in zip(roots, (3, 2, 2, 3)))
