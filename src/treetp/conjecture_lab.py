@@ -5,6 +5,14 @@ plan (``positivity.hypothesis_plan``, flat in ``_kernels``), found by
 rejection sampling or greedy repair, then re-checked by ``positivity``.
 Every random decision flows from a per-slot seed stream, so a batch is
 reproducible and the parallel and serial runs produce identical reports.
+
+Repair starts from a uniform draw on stars.  On a tree whose longest
+maximal path has 4 or more vertices it starts from a template: an integer
+totally positive matrix on that path, a product of elementary bidiagonal
+factors with positive integer parameters (Loewner-Whitney), whose rows and
+columns the vertices off the path copy.  Templates draw from their own
+seed lane, and a start whose template will not fit the entry range falls
+back to a uniform draw.
 """
 from __future__ import annotations
 
@@ -18,13 +26,14 @@ from . import _kernels
 from .exact_linalg import ExactMatrix, matrix_from_text, matrix_to_text
 from .positivity import AdjointCheck, HypothesisReport, is_t_tp, pendant_deletion_hypothesis
 from .spectral import SmallestEigen, SpectralSummary, smallest_eig_vector
-from .tree_model import LabelledTree, enumerate_labelled_trees
+from .tree_model import LabelledTree, enumerate_labelled_trees, maximal_paths
 
 _SEED_MASK = 2**64 - 1
 _BATCH = 4096
 _REPAIR_CHUNK = 2048
 _REPAIR_ROUNDS = 20_000  # proposals per repair start
 _INT64_MAX = 2**63 - 1  # entries are drawn as int64
+_TEMPLATE_DRAWS = 64  # template draws a repair start tries before a uniform start
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,13 @@ def _hypothesis_reports(A: ExactMatrix, tree: LabelledTree, augmented: bool) -> 
     return HypothesisReport(is_t_tp(A, tree), ())
 
 
-def _rng_for(cfg: GenConfig, slot: int, lane: int = 0) -> np.random.Generator:
-    key = (lane, slot) if lane else (slot,)
+def _rng_for(cfg: GenConfig, slot: int, lane: int = 0, template: bool = False) -> np.random.Generator:
+    """A slot's proposal stream, or with `template` its template stream.
+
+    Proposal keys are ``(slot,)`` and, in a sweep, ``(lane, slot)``; the
+    template key ``(lane, slot, 1)`` is the only 3-tuple, so none collide.
+    """
+    key = (lane, slot, 1) if template else (lane, slot) if lane else (slot,)
     return np.random.default_rng(np.random.SeedSequence(cfg.seed & _SEED_MASK, spawn_key=key))
 
 
@@ -86,17 +100,88 @@ def _symmetrize(batch: np.ndarray) -> np.ndarray:
 def _compile(cfg: GenConfig):
     """The objective every slot of `cfg` evaluates, built once per batch.
 
-    A ``RepairPlan`` when repairing, else the plan's distinct minors in
-    screen order: by size, smallest first, since the screen drops each
-    candidate at its first failing minor and most fail a 2x2 one, and 1x1
-    minors last.  Those are entries, which cannot fail once lo >= 1; the
-    screen still checks them, so it stays right for any batch.  Within a
-    size the plan's order is kept; the screen's answer does not depend on it.
+    When repairing, a ``RepairPlan`` and the ``_template_layout``.  Else
+    the plan's distinct minors in screen order: by size, smallest first,
+    since the screen drops each candidate at its first failing minor and
+    most fail a 2x2 one, and 1x1 minors last.  Those are entries, which
+    cannot fail once lo >= 1; the screen still checks them, so it stays
+    right for any batch.  Within a size the plan's order is kept; the
+    screen's answer does not depend on it.
     """
     plan = _kernels.minor_plan(cfg.tree, cfg.augmented)
     if cfg.repair:
-        return _kernels.repair_plan(plan, cfg.tree.n, cfg.symmetric)
+        return _kernels.repair_plan(plan, cfg.tree.n, cfg.symmetric), _template_layout(cfg)
     return tuple(sorted(dict.fromkeys(plan), key=lambda m: (len(m[0]) == 1, len(m[0]))))
+
+
+def _template_layout(cfg: GenConfig) -> tuple[int, ...] | None:
+    """The template row each vertex copies, or None where starts stay uniform.
+
+    A vertex on the first longest maximal path takes its place along it.  A
+    vertex off it copies a path neighbour of the path vertex it hangs from,
+    the one toward the nearer end, so the path from it to the farther end
+    keeps the template's order; each vertex further out steps on the same
+    way, which stays on the path because no path is longer.  None on stars
+    and when the smallest template, every parameter and diagonal entry 1,
+    exceeds ``hi``.
+    """
+    tree = cfg.tree
+    path = max(maximal_paths(tree), key=len).vertices if tree.n >= 4 else ()
+    m = len(path)
+    if m < 4:
+        return None
+    smallest = _lower(m, [1] * (m * (m - 1) // 2))
+    if max(map(max, _template([1] * m, smallest, smallest))) > cfg.entry_range[1]:
+        return None
+    place = {v: i for i, v in enumerate(path)}
+    stack = [(w, i, -1 if 2 * i < m else 1) for i, v in enumerate(path) for w in tree.neighbors(v)]
+    while stack:
+        v, i, step = stack.pop()
+        if v not in place:
+            place[v] = i + step
+            stack += [(w, i + step, step) for w in tree.neighbors(v)]
+    return tuple(place[v] for v in range(1, tree.n + 1))
+
+
+def _lower(m: int, params) -> list[list[int]]:
+    """Whitney's product of the factors I + t E_(i, i-1), params in product order."""
+    low = [[int(r == c) for c in range(m)] for r in range(m)]
+    t = iter(params)
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            x = next(t)
+            for row in low:
+                row[i - 1] += x * row[i]  # right-multiply: column i-1 += t column i
+    return low
+
+
+def _template(diag, low, up) -> list[list[int]]:
+    """L D U^T: TP for a positive diagonal and positive parameters of L and U."""
+    return [[sum(x * d * y for x, d, y in zip(r, diag, c)) for c in up] for r in low]
+
+
+def _template_start(cfg: GenConfig, layout: tuple[int, ...], rng) -> list[list[int]] | None:
+    """A template laid out on the tree, or None when no draw fits ``entry_range``.
+
+    Parameters and diagonal come from {1, 2} on a 4-vertex path; on longer
+    ones every parameter is 1 and the diagonal comes from 1..3.  The draw
+    T is then multiplied by c = max(1, hi // (4 max T)), still TP: on a
+    wide range that puts its largest entry near hi / 4, on the scale of
+    the proposals, where an unscaled template stalls (at 1..2**40 no
+    symmetric pitchfork start mends its copied vertex).  At 1..150, c = 1.
+    """
+    m = max(layout) + 1
+    k = m * (m - 1) // 2
+    top, top_diag = (2, 2) if m == 4 else (1, 3)
+    lo, hi = cfg.entry_range
+    for _ in range(_TEMPLATE_DRAWS):
+        low = _lower(m, rng.integers(1, top + 1, size=k).tolist())
+        up = low if cfg.symmetric else _lower(m, rng.integers(1, top + 1, size=k).tolist())
+        t = _template(rng.integers(1, top_diag + 1, size=m).tolist(), low, up)
+        c = max(1, hi // (4 * max(map(max, t))))
+        if all(lo <= c * x <= hi for row in t for x in row):
+            return [[c * t[p][q] for q in layout] for p in layout]
+    return None
 
 
 def _screened(cfg: GenConfig, minors, rng):
@@ -119,13 +204,20 @@ def _screened(cfg: GenConfig, minors, rng):
         drawn += size
 
 
-def _repaired(cfg: GenConfig, rplan, rng):
-    """Repair proposals: each start that reaches zero violations, with its 1-based index."""
+def _repaired(cfg: GenConfig, compiled, rng, template_rng):
+    """Repair proposals: each start that reaches zero violations, with its 1-based index.
+
+    A start is a template from `template_rng` where the layout allows one
+    and a draw fits, else uniform from `rng`; proposals come from `rng`.
+    """
+    rplan, layout = compiled
     n = cfg.tree.n
     lo, hi = cfg.entry_range
     for attempt in range(1, cfg.budget + 1):
-        a = rng.integers(lo, hi + 1, size=(n, n), dtype=np.int64)
-        a = (_symmetrize(a) if cfg.symmetric else a).tolist()
+        a = None if layout is None else _template_start(cfg, layout, template_rng)
+        if a is None:
+            a = rng.integers(lo, hi + 1, size=(n, n), dtype=np.int64)
+            a = (_symmetrize(a) if cfg.symmetric else a).tolist()
         current, values = _kernels.repair_start(a, rplan)
         rounds_left = _REPAIR_ROUNDS
         while rounds_left > 0 and current > 0:
@@ -151,7 +243,11 @@ def _generate_slot(
     """
     if compiled is None:
         compiled = _compile(cfg)
-    proposals = (_repaired if cfg.repair else _screened)(cfg, compiled, _rng_for(cfg, slot, lane))
+    rng = _rng_for(cfg, slot, lane)
+    if cfg.repair:
+        proposals = _repaired(cfg, compiled, rng, _rng_for(cfg, slot, lane, template=True))
+    else:
+        proposals = _screened(cfg, compiled, rng)
     for rows, attempts in proposals:
         candidate = ExactMatrix(rows)
         if _hypothesis_reports(candidate, cfg.tree, cfg.augmented).holds:

@@ -349,11 +349,12 @@ def _refine(
 
 
 def _isolate_squarefree(
-    f: tuple[int, ...],
+    f: tuple[int, ...], chain: list[tuple[int, ...]] | None = None
 ) -> tuple[list[tuple[Fraction, Fraction]], tuple[int, ...]]:
     """Disjoint isolating intervals (or exact points) for all real roots of f.
 
-    f is primitive and squarefree.  Also returns the deflated factor whose
+    f is primitive and squarefree, and `chain`, when given, is its
+    ``_sturm_chain``.  Also returns the deflated factor whose
     simple roots the proper intervals isolate.  It has no root at their
     ends, which f may have: a rational root peeled off at a bisection
     midpoint can be the end of an interval of the deflated factor.  Every
@@ -366,7 +367,8 @@ def _isolate_squarefree(
         if len(f) == 2:
             exact.append(Fraction(-f[0], f[1]))
             return [(r, r) for r in exact], ()
-        chain = _sturm_chain(f)
+        if chain is None:
+            chain = _sturm_chain(f)
         e = _root_bound_exponent(f)
         at_inf = {
             side: _changes((1 if q[-1] > 0 else -1) * side ** (len(q) - 1) for q in chain)
@@ -409,6 +411,7 @@ def _isolate_squarefree(
         exact.append(hit)
         # f primitive and den * x - num primitive: the quotient is primitive
         f = _exact_quotient(f, (-hit.numerator, hit.denominator))
+        chain = None
 
 
 def _root_estimates(f: tuple[int, ...]) -> list[complex]:
@@ -449,9 +452,17 @@ def real_roots(
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined roots")
+    f = _primitive(clear_denominators(p.coeffs)[0])
+    f = f if f[-1] > 0 else tuple(-c for c in f)
+    chain = _sturm_chain(f) if len(f) > 1 else None
+    if chain is not None and len(chain[-1]) == 1:
+        # the chain ends in gcd(f, f') times a constant: f is squarefree
+        factors = [(f, 1, chain)]
+    else:
+        factors = [(g, mult, None) for g, mult in _squarefree_factors(f)]
     found: list[tuple[Fraction, Fraction, int, tuple[int, ...]]] = []
-    for factor, mult in _squarefree_factors(_primitive(clear_denominators(p.coeffs)[0])):
-        intervals, f_ints = _isolate_squarefree(factor)
+    for factor, mult, chain in factors:
+        intervals, f_ints = _isolate_squarefree(factor, chain)
         for lo, hi in intervals:
             found.append((lo, hi, mult, f_ints))
     # roots of coprime factors are distinct; shrink any overlapping intervals

@@ -5,6 +5,8 @@ import pytest
 
 from treetp import (
     GenConfig,
+    LabelledTree,
+    _kernels,
     batch_verify,
     conjecture_lab,
     gen_candidate,
@@ -12,6 +14,7 @@ from treetp import (
     make_pitchfork,
     make_star,
     matrix_to_text,
+    parse_tree_spec,
     pendant_deletion_hypothesis,
     report_from_json,
     report_to_json,
@@ -369,3 +372,78 @@ class TestExactRecheck:
         assert conjecture_lab._generate_slot(cfg, 0) == (None, 2)
         report = batch_verify(cfg, 2)
         assert (report.generated, report.counterexamples, report.exemplars) == (0, 0, ())
+
+
+class TestTemplateStart:
+    """Repair on a tree with a 4-vertex path starts from a TP template."""
+
+    @pytest.mark.parametrize("spec", ["path:4", "path:5"])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_template_alone_meets_the_path_hypothesis(self, spec, symmetric):
+        cfg = GenConfig(parse_tree_spec(spec), seed=4, symmetric=symmetric, repair=True)
+        layout = conjecture_lab._template_layout(cfg)
+        assert layout == tuple(range(cfg.tree.n))
+        rng = conjecture_lab._rng_for(cfg, 0, template=True)
+        plan = _kernels.minor_plan(cfg.tree, False)
+        for _ in range(20):
+            a = conjecture_lab._template_start(cfg, layout, rng)
+            assert min(map(min, a)) >= 1 and max(map(max, a)) <= 150
+            assert _kernels.hypothesis_violations(a, plan) == 0
+            assert not symmetric or a == [list(col) for col in zip(*a)]
+
+    def test_off_path_vertices_copy_a_path_neighbour(self):
+        # the path is 2-1-4-5; vertex 3 hangs from vertex 1 and copies 2,
+        # so the path 3-1-4-5 keeps the template's order
+        assert conjecture_lab._template_layout(GenConfig(make_pitchfork())) == (1, 0, 0, 2, 3)
+        # a second off-path vertex further out steps on the same way
+        spider = LabelledTree(7, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 7)])
+        assert conjecture_lab._template_layout(GenConfig(spider)) == (0, 1, 2, 3, 4, 1, 0)
+
+    @pytest.mark.parametrize(
+        "spec, symmetric",
+        [("pitchfork", False), ("path:4", False), ("path:4", True), ("path:5", False),
+         ("path:5", True)],
+    )
+    def test_repair_reaches_paths_and_the_pitchfork(self, spec, symmetric):
+        cfg = GenConfig(parse_tree_spec(spec), seed=0, symmetric=symmetric, repair=True,
+                        max_attempts=5)
+        assert batch_verify(cfg, 5).generated == 5
+
+    def test_stars_and_a_path_too_long_for_the_range_start_uniform(self):
+        for spec in ("star:5", "star:6:3", "path:3", "path:6"):
+            cfg = GenConfig(parse_tree_spec(spec), repair=True)
+            assert conjecture_lab._template_layout(cfg) is None
+        # every parameter 1 already gives C(10, 5) = 252 > 150 on path:6
+        cfg = GenConfig(parse_tree_spec("path:6"), entry_range=(1, 252), repair=True)
+        assert conjecture_lab._template_layout(cfg) == tuple(range(6))
+
+    @pytest.mark.parametrize(
+        "spec, entry_range", [("path:6", (1, 150)), ("pitchfork", (100, 150))]
+    )
+    def test_no_fitting_template_ends_within_the_budget(self, spec, entry_range):
+        cfg = GenConfig(parse_tree_spec(spec), entry_range=entry_range, seed=5, repair=True,
+                        max_attempts=2)
+        layout = conjecture_lab._template_layout(cfg)
+        if layout is not None:  # a layout, but every draw has an entry below lo
+            rng = conjecture_lab._rng_for(cfg, 0, template=True)
+            assert conjecture_lab._template_start(cfg, layout, rng) is None
+        matrix, used = conjecture_lab._generate_slot(cfg, 0)
+        assert used == 2 if matrix is None else 1 <= used <= 2
+
+    def test_a_wide_range_scales_the_template(self):
+        cfg = GenConfig(parse_tree_spec("path:4"), entry_range=(2**20, 2**40), repair=True)
+        rng = conjecture_lab._rng_for(cfg, 0, template=True)
+        a = conjecture_lab._template_start(cfg, conjecture_lab._template_layout(cfg), rng)
+        assert 2**20 <= min(map(min, a)) and 2**37 < max(map(max, a)) <= 2**38
+        assert _kernels.hypothesis_violations(a, _kernels.minor_plan(cfg.tree, False)) == 0
+
+    def test_pitchfork_report_is_the_same_on_two_workers(self):
+        cfg = GenConfig(make_pitchfork(), seed=8, repair=True, max_attempts=5)
+        serial = batch_verify(cfg, 4, keep=4)
+        assert serial.generated == 4
+        assert report_to_json(batch_verify(cfg, 4, keep=4, workers=2)) == report_to_json(serial)
+
+    @pytest.mark.parametrize("symmetric, least", [(False, 110), (True, 120)])
+    def test_reach_on_every_tree_of_five_vertices(self, symmetric, least):
+        cfg = GenConfig(make_star(5), seed=3, symmetric=symmetric, repair=True, max_attempts=3)
+        assert sum(report.generated for _, report in sweep_trees(5, cfg, 1)) >= least

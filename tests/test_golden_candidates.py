@@ -6,11 +6,14 @@ the screening objective or the repair accept/reject rule shows up here.
 The two cases with entries up to 2**21 exceed the int64 guard for 3x3
 minors, so they pin the exact arithmetic beyond it; the two repair cases
 with entries up to 2**40 do the same for the 4x4 and 5x5 closed forms,
-whose products exceed int64 by far.
+whose products exceed int64 by far.  Each ``-big`` case checks that its
+pinned matrix is beyond the guard.  The pitchfork cases start repair from
+a template (``conjecture_lab._template_start``).
 """
 import pytest
 
 from treetp import GenConfig, make_pitchfork, make_star, matrix_to_text, parse_tree_spec
+from treetp._kernels import int64_screen_safe, minor_plan
 from treetp.conjecture_lab import _generate_slot
 
 GOLDEN = {
@@ -32,8 +35,7 @@ GOLDEN = {
     ),
     "pitchfork-sym-repair-s31": (
         dict(tree=make_pitchfork(), seed=31, symmetric=True, repair=True, max_attempts=25),
-        "130 91 90 89 27\n91 140 23 21 2\n90 23 108 46 6\n89 21 46 139 107\n"
-        "27 2 6 107 126\n",
+        "4 4 2 10 13\n4 102 1 7 3\n2 1 101 4 3\n10 7 4 28 48\n13 3 3 48 137\n",
         2,
     ),
     "star5-repair-s808": (
@@ -76,11 +78,11 @@ GOLDEN = {
             tree=make_pitchfork(), seed=31, entry_range=(1, 2**40), symmetric=True, repair=True,
             max_attempts=25,
         ),
-        "1071807555988 654902821435 424375620545 935230691706 548967907735\n"
-        "654902821435 1080813023240 10133761204 260613547974 61316261067\n"
-        "424375620545 10133761204 1034882372175 53625641299 30879380208\n"
-        "935230691706 260613547974 53625641299 1019338649789 774686563137\n"
-        "548967907735 61316261067 30879380208 774686563137 983143119798\n",
+        "17620378650 26758468256 36006032350 21144454380 55712146723\n"
+        "26758468256 262117627047 34732702844 7048151460 18147564642\n"
+        "36006032350 34732702844 754458691306 7048151460 14096302920\n"
+        "21144454380 7048151460 7048151460 31716681570 88101893250\n"
+        "55712146723 18147564642 14096302920 88101893250 449256869172\n",
         1,
     ),
 }
@@ -92,6 +94,16 @@ def test_slot_zero_is_pinned(name):
     matrix, used = _generate_slot(GenConfig(**kwargs), 0)
     assert matrix is not None
     assert (matrix_to_text(matrix), used) == (text, attempts)
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(GOLDEN) if name.endswith("-big")])
+def test_big_cases_pass_the_int64_guard(name):
+    # each pinned matrix has an entry too large for the plan's largest
+    # minors to fit int64, so the case does pin the exact arithmetic
+    kwargs, text, _ = GOLDEN[name]
+    cfg = GenConfig(**kwargs)
+    k = max(len(rows) for rows, _ in minor_plan(cfg.tree, cfg.augmented))
+    assert not int64_screen_safe(k, max(int(x) for x in text.split()))
 
 
 # the later slots the benchmark's repair workloads run every round
@@ -114,12 +126,12 @@ BENCHMARK_SLOTS = {
         1,
     ),
     ("pitchfork-sym-repair-s31", 1): (
-        "100 60 56 109 38\n60 68 26 51 14\n56 26 117 44 15\n109 51 44 144 64\n38 14 15 64 49\n",
+        "3 6 2 8 10\n6 107 2 4 4\n2 2 13 4 4\n8 4 4 26 40\n10 4 4 40 99\n",
         1,
     ),
     ("pitchfork-sym-repair-s31", 2): (
-        "149 72 86 96 57\n72 99 40 2 1\n86 40 116 30 17\n96 2 30 143 89\n57 1 17 89 87\n",
-        4,
+        "3 8 1 5 7\n8 145 1 1 1\n1 1 42 1 1\n5 1 1 11 21\n7 1 1 21 90\n",
+        2,
     ),
 }
 
