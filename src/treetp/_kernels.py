@@ -6,15 +6,21 @@ hypothesis needs strictly positive, once per path or block that needs it.
 integers: the full recount that the tests hold repair's count against.
 
 Greedy repair drives that count to zero, updated per proposal, not
-recounted.  ``repair_plan`` compiles the plan into its distinct minors,
-each bound once to its evaluator (a closed form up to 5x5, so repair
-neither dispatches on size nor runs Bareiss), their multiplicities and,
-per entry, one term for each minor that holds it.  ``repair_start``
-keeps the exact value of every distinct minor, and ``repair_chunk``
-reads each touched minor's new value from that table as its old value
-plus the change times the entry's signed cofactor: a table entry when
-the cofactor is itself a plan minor, else one closed form a size smaller
-(a symmetric proposal evaluates a minor that holds both changed entries
+recounted.  ``repair_plan`` compiles the plan into a table with one
+entry per minor value, each bound once to its evaluator (a closed form
+up to 5x5, so repair neither dispatches on size nor runs Bareiss), the
+number of plan minors each stands for and, per matrix entry, one term
+for each table minor that holds it.  Plan minors with the same row set,
+column set and sign of the two orderings share an entry, since
+det A[sR; tC] = sgn s * sgn t * det A[R; C] for permutations s and t; a
+symmetric repair keeps the matrix symmetric, so there a minor also
+shares its transpose's entry, and transposes fold only then.
+``repair_start`` keeps the exact value of every table minor, and
+``repair_chunk`` reads each touched minor's new value from that table
+as its old value plus the change times the entry's signed cofactor: a
+table value, times the sign between the two, when the cofactor equals a
+table minor up to reordering, else one closed form a size smaller (a
+symmetric proposal evaluates a minor that holds both changed entries
 whole).  The failing minors go first, then the passing ones, rejecting
 exactly as soon as the weighted count would rise.  A proposal is kept
 iff the count does not rise, the same rule as a full recount.
@@ -82,11 +88,17 @@ Term = tuple[int, int, int, Callable[[list[list[int]]], int] | None]
 class RepairPlan:
     """A minor plan compiled for incremental repair.
 
-    ``minors`` are the distinct minors of the plan in first-seen order,
-    ``evaluators`` the ``minor_evaluator`` of each, bound once per plan
-    (closed forms through 5x5, Bareiss only from 6x6 up), and ``weights``
-    how often the plan lists each, so a weighted count of the failing ones
-    equals ``hypothesis_violations``.
+    ``minors`` hold one plan minor per minor value, the first the plan
+    lists, in first-seen order; ``evaluators`` are the ``minor_evaluator``
+    of each, bound once per plan (closed forms through 5x5, Bareiss only
+    from 6x6 up), and ``weights`` the number of plan minors each stands
+    for, so a weighted count of the failing ones equals
+    ``hypothesis_violations``.  A plan minor stands for another when the
+    two have the same row set, column set and sign of the two orderings
+    (``_fold_key``), so their values are equal on every matrix; with
+    ``symmetric`` also when one is the other's transpose, as a symmetric
+    repair only holds symmetric matrices.  Transposes do not fold
+    otherwise.
 
     ``cells[i * n + j]`` serves a proposal that changes entry (i, j) by d,
     and (j, i) by the same d when ``symmetric``.  It maps each minor m the
@@ -94,9 +106,10 @@ class RepairPlan:
     m from its value x in the repair's value table ``values``:
 
     - cached (f None): x + s*d*values[c], the signed cofactor of the entry
-      being minor c of the table or, for a 1x1 minor, the empty minor that
-      the table keeps last;
-    - cofactor (s = +-1): x + s*d*f(a), f the cofactor's evaluator;
+      being +-minor c of the table, up to reordering, or, for a 1x1 minor,
+      the empty minor that the table keeps last;
+    - cofactor (s = +-1): x + s*d*f(a), f the evaluator of the cofactor's
+      index sets, sorted (s carries the sign of the sort);
     - direct (s = 0): f(a), the whole minor on the changed matrix, for a
       symmetric proposal whose minor holds both changed entries.
 
@@ -113,18 +126,40 @@ class RepairPlan:
     symmetric: bool
 
 
+def _fold_key(rows, cols, symmetric: bool) -> tuple[Minor, int]:
+    """(sets, sign) with det A[rows; cols] = sign * det A[sets].
+
+    `sets` are the sorted rows and the sorted cols, and `sign` the product
+    of the parities of the two sorts.  With `symmetric` the pair is also
+    put in order, since det A[C; R] = det A[R; C] when A is symmetric.
+    """
+    sets = tuple(sorted(rows)), tuple(sorted(cols))
+    if symmetric and sets[1] < sets[0]:
+        sets = sets[::-1]
+    inversions = sum(x > y for seq in (rows, cols) for k, x in enumerate(seq) for y in seq[k + 1 :])
+    return sets, -1 if inversions & 1 else 1
+
+
 def repair_plan(plan: tuple[Minor, ...], n: int, symmetric: bool) -> RepairPlan:
     """Compile `plan` for single-entry proposals on an n-by-n matrix.
 
     With `symmetric` a proposal changes an entry and its mirror, and the
     matrix it runs on must be symmetric.
     """
-    weight = Counter(plan)
-    minors = tuple(weight)
+    first = {}  # per fold key, its first-seen plan minor
+    weight = Counter()
+    for m in plan:
+        key = _fold_key(*m, symmetric)
+        first.setdefault(key, m)
+        weight[key] += 1
+    minors = tuple(first.values())
     whole = tuple(minor_evaluator(rows, cols) for rows, cols in minors)
-    index = dict(zip(minors, range(len(minors))))
-    index[(), ()] = len(minors)  # the empty minor, kept last in the value table
-    cofactors = {}  # evaluators of the cofactors that are not plan minors
+    # per set pair, (t, sign) with det A[sets] = sign * values[t]
+    index = {}
+    for t, (sets, sign) in enumerate(first):
+        index.setdefault(sets, (t, sign))
+    index[(), ()] = (len(minors), 1)  # the empty minor, kept last in the value table
+    cofactors = {}  # per set pair, the evaluator of a cofactor that is not in the table
     largest = max(len(rows) for rows, _ in minors)
     # per cell, the terms bucketed by the size of the minor they evaluate
     cells = [[[] for _ in range(largest + 1)] for _ in range(n * n)]
@@ -137,15 +172,16 @@ def repair_plan(plan: tuple[Minor, ...], n: int, symmetric: bool) -> RepairPlan:
                 if symmetric and i != j and j in rows and i in cols:
                     cells[i * n + j][k].append((m, 0, 0, whole[m]))
                     continue
-                cof = (rows_wo[p], cols_wo[q])
-                s = -1 if (p + q) & 1 else 1
-                c = index.get(cof)
-                if c is not None:
-                    cost, term = 0, (m, s, c, None)
+                sets, sign = _fold_key(rows_wo[p], cols_wo[q], symmetric)
+                s = -sign if (p + q) & 1 else sign
+                hit = index.get(sets)
+                if hit is not None:
+                    c, table_sign = hit
+                    cost, term = 0, (m, s * table_sign, c, None)
                 else:
-                    f = cofactors.get(cof)
+                    f = cofactors.get(sets)
                     if f is None:
-                        f = cofactors[cof] = minor_evaluator(*cof)
+                        f = cofactors[sets] = minor_evaluator(*sets)
                     cost, term = k - 1, (m, s, 0, f)
                 cells[i * n + j][cost].append(term)
                 if symmetric and i != j:
@@ -153,7 +189,7 @@ def repair_plan(plan: tuple[Minor, ...], n: int, symmetric: bool) -> RepairPlan:
     return RepairPlan(
         minors=minors,
         evaluators=whole,
-        weights=tuple(weight[m] for m in minors),
+        weights=tuple(weight[key] for key in first),
         cells=tuple({term[0]: term for bucket in buckets for term in bucket} for buckets in cells),
         symmetric=symmetric,
     )
@@ -162,8 +198,8 @@ def repair_plan(plan: tuple[Minor, ...], n: int, symmetric: bool) -> RepairPlan:
 def repair_start(a: list[list[int]], rplan: RepairPlan) -> tuple[int, list[int]]:
     """(violation count, value table) of a start matrix.
 
-    The table holds the exact value of every distinct minor, in
-    ``rplan.minors`` order, then the empty minor's value 1.  The count is
+    The table holds the exact value of each of ``rplan.minors``, one per
+    minor value of the plan, then the empty minor's value 1.  The count is
     the weight of the non-positive ones, which equals
     ``hypothesis_violations(a, plan)``.
     """

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 from treetp import (
     ExactMatrix,
     det,
+    enumerate_labelled_trees,
     is_p_matrix,
     is_t_tp,
     is_tp,
@@ -558,3 +560,76 @@ def test_repair_runs_without_bareiss(monkeypatch, cfg):
 
     monkeypatch.setattr(exact_linalg, "_det_int", no_bareiss)
     assert batch_verify(cfg, 1).generated == expected == 1
+
+
+def _ordering_sign(seq) -> int:
+    """Sign of the permutation that sorts `seq`: the determinant of its permutation matrix."""
+    ranks = sorted(seq)
+    return int(laplace_det([[int(ranks[b] == x) for b in range(len(seq))] for x in seq]))
+
+
+def _value_key(rows, cols, symmetric):
+    """What det A[rows; cols] is a function of: the two index sets and the
+    sign of the orderings, and with `symmetric` not which set indexes rows."""
+    sets = (tuple(sorted(rows)), tuple(sorted(cols)))
+    if symmetric:
+        sets = tuple(sorted(sets))
+    return sets, _ordering_sign(rows) * _ordering_sign(cols)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+@pytest.mark.parametrize("augmented", [False, True], ids=["paths", "augmented"])
+def test_repair_table_holds_one_entry_per_minor_value(augmented, symmetric):
+    """On every labelled tree on 5 vertices and on star:6, each table minor
+    stands for one minor value, its weight counts the plan minors with that
+    value, and the weighted count of a start is the full recount."""
+    gen = np.random.default_rng(23)
+    for tree in [*enumerate_labelled_trees(5), make_star(6, 1)]:
+        n = tree.n
+        plan = kernels.minor_plan(tree, augmented)
+        rplan = kernels.repair_plan(plan, n, symmetric)
+        keys = [_value_key(rows, cols, symmetric) for rows, cols in rplan.minors]
+        assert len(set(keys)) == len(keys)
+        assert sum(rplan.weights) == len(plan)
+        weight = dict(zip(keys, rplan.weights))
+        assert weight == dict(collections.Counter(_value_key(r, c, symmetric) for r, c in plan))
+        for hi in (3, 150):
+            a = gen.integers(1, hi + 1, size=(n, n), dtype=np.int64)
+            if symmetric:
+                a = np.triu(a) + np.triu(a, 1).T
+            a = a.tolist()
+            count, values = kernels.repair_start(a, rplan)
+            assert count == kernels.hypothesis_violations(a, plan)
+            table = dict(zip(keys, values))
+            for rows, cols in plan:
+                assert kernels.minor_value(a, rows, cols) == table[_value_key(rows, cols, symmetric)]
+
+
+@pytest.mark.parametrize(
+    "tree, augmented, symmetric, distinct, tabled",
+    [
+        (make_pitchfork(), False, True, 37, 23),
+        (make_pitchfork(), False, False, 37, 37),
+        (make_star(6, 1), True, False, 123, 109),
+        (make_star(5, 1), True, False, 68, 59),
+        (make_path(range(1, 6)), False, True, 25, 15),
+    ],
+    ids=["pitchfork-symmetric", "pitchfork", "star6-augmented", "star5-augmented",
+         "path5-symmetric"],
+)
+def test_repair_table_sizes(tree, augmented, symmetric, distinct, tabled):
+    """Plan minors equal up to reordering share an entry; transposes share
+    one only under `symmetric`, so the plain pitchfork keeps all 37."""
+    plan = kernels.minor_plan(tree, augmented)
+    assert len(set(plan)) == distinct
+    assert len(kernels.repair_plan(plan, tree.n, symmetric).minors) == tabled
+
+
+@pytest.mark.parametrize("hi", [6, 150])
+def test_symmetric_path5_decisions_match_full_recount(hi):
+    """Symmetric path:5 folds the most, 25 ordered minors into 15 entries."""
+    TestRepairChunk().test_decisions_match_full_recount(make_path(range(1, 6)), False, True, hi)
+
+
+def test_symmetric_path5_repair_terms_are_exact():
+    test_every_repair_term_is_exact(make_path(range(1, 6)), False, True, 150)
