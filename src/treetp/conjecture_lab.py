@@ -493,4 +493,10 @@ def report_from_json(text: str) -> BatchReport:
     derived = (report.hypothesis_pass, report.conclusion_pass)
     if (data["hypothesis_pass"], data["conclusion_pass"]) != derived:
         raise ValueError("inconsistent counts in batch report")
+    if not 0 <= report.counterexamples <= report.generated <= report.trials:
+        raise ValueError(
+            "batch report counts must satisfy 0 <= counterexamples <= generated <= trials"
+        )
+    if len(exemplars) > report.counterexamples:
+        raise ValueError("batch report keeps more exemplars than counterexamples")
     return report

@@ -66,21 +66,33 @@ def _to_rational(value) -> Fraction:
 
 
 class ExactMatrix:
-    """Immutable square matrix of exact rationals; ``cleared`` = (B, d), B/d = A."""
+    """Immutable square matrix of exact rationals; ``cleared`` = (B, d), B/d = A.
+
+    Built from Python ints alone, it stores them as they are, with
+    ``cleared`` = (those rows, 1), and converts nothing; ``rows`` and
+    ``entry`` still give Fractions, built when asked.
+    """
 
     __slots__ = ("n", "_rows", "cleared")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        data = tuple(tuple(_to_rational(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
+        # bool is no int here: it becomes a Fraction, as every non-int does
+        integral = all(type(x) is int for row in data for x in row)
+        if not integral:
+            data = tuple(tuple(map(_to_rational, row)) for row in data)
         n = len(data)
         if n == 0:
             raise ValueError("matrix must have at least one row")
         if any(len(row) != n for row in data):
             raise ValueError("matrix must be square")
-        ints, d = clear_denominators(x for row in data for x in row)
+        if integral:
+            B, d = data, 1
+        else:
+            ints, d = clear_denominators(x for row in data for x in row)
+            B = tuple(tuple(ints[i * n : (i + 1) * n]) for i in range(n))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", data)
-        B = tuple(tuple(ints[i * n : (i + 1) * n]) for i in range(n))
         object.__setattr__(self, "cleared", (B, d))
 
     def __setattr__(self, name, value):
@@ -91,13 +103,15 @@ class ExactMatrix:
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is self.cleared[0]:  # built from ints
+            return tuple(tuple(map(Fraction, row)) for row in self._rows)
         return self._rows
 
     def entry(self, i: int, j: int) -> Fraction:
         """1-based entry access."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"entry ({i},{j}) out of range for n={self.n}")
-        return self._rows[i - 1][j - 1]
+        return Fraction(self._rows[i - 1][j - 1])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -152,7 +166,7 @@ def _check_lists(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> tu
 def submatrix(A: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> ExactMatrix:
     """Reordered submatrix A[rows; cols]; list order is respected."""
     rows, cols = _check_lists(A, rows, cols)
-    return ExactMatrix([[A.rows[r - 1][c - 1] for c in cols] for r in rows])
+    return ExactMatrix([[A._rows[r - 1][c - 1] for c in cols] for r in rows])
 
 
 def clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -360,6 +374,8 @@ def adjugate_from_pass(Ns: list[list[list[int]]], d: int) -> ExactMatrix:
     """adj(A) = (-1)^(n+1) N_(n-1) / d^(n-1) from `faddeev_leverrier(A)`'s Ns and d."""
     n = len(Ns)
     sign, scale = (-1) ** (n + 1), d ** (n - 1)
+    if scale == 1:  # integer entries: nothing to clear
+        return ExactMatrix([[sign * x for x in row] for row in Ns[-1]])
     return ExactMatrix([[Fraction(sign * x, scale) for x in row] for row in Ns[-1]])
 
 

@@ -226,8 +226,12 @@ def _sturm_chain(f: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _changes(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    count = last = 0
+    for s in signs:
+        if s:
+            count += s == -last
+            last = s
+    return count
 
 
 def _variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
@@ -465,8 +469,10 @@ def real_roots(
         intervals, f_ints = _isolate_squarefree(factor, chain)
         for lo, hi in intervals:
             found.append((lo, hi, mult, f_ints))
-    # roots of coprime factors are distinct; shrink any overlapping intervals
-    changed = True
+    # roots of coprime factors are distinct; shrink any overlapping intervals.
+    # One factor's proper intervals are leaves of one bisection, so they only
+    # touch; only a second factor or an exact point can meet them.
+    changed = len(factors) > 1 or any(lo == hi for lo, hi, _, _ in found)
     while changed:
         changed = False
         for i, j in itertools.combinations(range(len(found)), 2):
@@ -495,20 +501,20 @@ def real_roots(
 
 
 def _pair_conjugates(
-    values: Sequence[complex], roots: Sequence[RootInterval]
+    values: Sequence[complex], roots: Sequence[RootInterval], mids: Sequence[float]
 ) -> tuple[list[complex], list[complex]]:
     """Snap the estimates nearest each exact real root; pair the rest conjugately.
 
-    A root of multiplicity m takes its m nearest estimates.  The others
-    number n minus the exact real count, which is even, so each finds a
-    partner.  Returns the n values and the upper member of each pair, so
-    that a pair whose estimates average onto the real axis still counts
-    once, as a non-real eigenvalue.
+    `mids` are the roots' midpoints as floats.  A root of multiplicity m
+    takes its m nearest estimates.  The others number n minus the exact
+    real count, which is even, so each finds a partner.  Returns the n
+    values and the upper member of each pair, so that a pair whose
+    estimates average onto the real axis still counts once, as a non-real
+    eigenvalue.
     """
     out = list(values)
     free = set(range(len(values)))
-    for r in roots:
-        mid = float(r.midpoint())
+    for r, mid in zip(roots, mids):
         for _ in range(r.multiplicity):
             i = min(free, key=lambda i: (abs(values[i] - mid), i))
             free.remove(i)
@@ -545,9 +551,14 @@ class SmallestEigen:
     ambiguous: bool
 
 
-def _classify_smallest(rroots: Sequence[RootInterval], pairs: Sequence[complex]) -> SmallestEigen:
-    """The least-modulus eigenvalue; a conjugate pair enters once, as its upper member."""
-    entities = [(abs(float(r.midpoint())), r) for r in rroots] + [(abs(z), z) for z in pairs]
+def _classify_smallest(
+    rroots: Sequence[RootInterval], mids: Sequence[float], pairs: Sequence[complex]
+) -> SmallestEigen:
+    """The least-modulus eigenvalue; a conjugate pair enters once, as its upper member.
+
+    `mids` are the real roots' midpoints as floats.
+    """
+    entities = [(abs(m), (r, m)) for r, m in zip(rroots, mids)] + [(abs(z), z) for z in pairs]
     entities.sort(key=lambda t: t[0])
     m1, payload = entities[0]
     margin = float("inf")
@@ -555,13 +566,14 @@ def _classify_smallest(rroots: Sequence[RootInterval], pairs: Sequence[complex])
         m2 = entities[1][0]
         margin = (m2 - m1) / m2 if m2 > 0 else 0.0
     ambiguous = margin < MODULUS_MARGIN_RTOL
-    if isinstance(payload, RootInterval):
+    if isinstance(payload, tuple):
+        root, mid = payload
         return SmallestEigen(
-            estimate=complex(float(payload.midpoint())),
+            estimate=complex(mid),
             is_real=True,
-            is_simple=payload.multiplicity == 1,
-            multiplicity=payload.multiplicity,
-            interval=payload,
+            is_simple=root.multiplicity == 1,
+            multiplicity=root.multiplicity,
+            interval=root,
             modulus_margin=margin,
             ambiguous=ambiguous,
         )
@@ -602,9 +614,11 @@ def full_spectrum_numeric(A: ExactMatrix) -> SpectrumEstimate:
     p = _char_poly(c, d)
     estimates = [complex(z) for z in np.linalg.eigvals(np.array(A.to_float_rows(), dtype=float))]
     roots = tuple(real_roots(p, refine_to=ISOLATION_WIDTH, estimates=estimates))
-    values, pairs = _pair_conjugates(estimates, roots)
+    mids = [float(r.midpoint()) for r in roots]
+    values, pairs = _pair_conjugates(estimates, roots, mids)
     values.sort(key=lambda z: (z.real, z.imag))
-    return SpectrumEstimate(tuple(values), p, faddeev, roots, _classify_smallest(roots, pairs))
+    smallest = _classify_smallest(roots, mids, pairs)
+    return SpectrumEstimate(tuple(values), p, faddeev, roots, smallest)
 
 
 @dataclass(frozen=True)

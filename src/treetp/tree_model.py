@@ -15,10 +15,12 @@ class LabelledTree:
     """Tree on vertices 1..n given by its edge set.
 
     Construction validates the full tree property: exactly n-1 edges,
-    no self loops, labels in range, connected and acyclic.
+    no self loops, labels in range, connected and acyclic.  It also builds
+    the pendant vertices and, for n >= 2, the maximal paths, which
+    `pendant_vertices` and `maximal_paths` read.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_pendants", "_paths")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         n = int(n)
@@ -51,6 +53,9 @@ class LabelledTree:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(edge_set))
         object.__setattr__(self, "_adj", adj)
+        pendants = IndexList(v for v in range(1, n + 1) if len(adj[v]) == 1)
+        object.__setattr__(self, "_pendants", pendants)
+        object.__setattr__(self, "_paths", _leaf_paths(adj, pendants) if n >= 2 else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabelledTree is immutable")
@@ -125,37 +130,34 @@ class SigningVerdict:
 
 def pendant_vertices(tree: LabelledTree) -> IndexList:
     """Degree-1 vertices in ascending order."""
-    return IndexList(v for v in range(1, tree.n + 1) if tree.degree(v) == 1)
+    return tree._pendants
 
 
-def _path_between(tree: LabelledTree, a: int, b: int) -> list[int]:
-    parent = {a: 0}
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        if u == b:
-            break
-        for w in tree.neighbors(u):
-            if w not in parent:
-                parent[w] = u
-                stack.append(w)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+def _leaf_paths(adj: dict[int, tuple[int, ...]], leaves: IndexList) -> tuple[TreePath, ...]:
+    """Every leaf-to-leaf path, sorted, from one walk per leaf to the leaves after it."""
+    paths = []
+    for k, a in enumerate(leaves):
+        parent = {a: 0}
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    stack.append(w)
+        for b in leaves[k + 1 :]:
+            path = [b]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            paths.append(TreePath(path[::-1]))  # from a, the smaller end
+    return tuple(sorted(paths, key=lambda p: p.vertices))
 
 
 def maximal_paths(tree: LabelledTree) -> list[TreePath]:
     """All leaf-to-leaf paths, canonically oriented, sorted, each once."""
-    if tree.n < 2:
+    if tree._paths is None:
         raise ValueError("paths need at least two vertices")
-    leaves = pendant_vertices(tree)
-    paths = [
-        TreePath(IndexList(_path_between(tree, a, b)))
-        for a, b in itertools.combinations(leaves, 2)
-    ]
-    return sorted(paths, key=lambda p: tuple(p.vertices))
+    return list(tree._paths)
 
 
 def tree_signing(tree: LabelledTree, anchor: int) -> SignVector:

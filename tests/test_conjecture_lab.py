@@ -307,6 +307,26 @@ class TestReportSerialization:
         with pytest.raises(ValueError):
             report_from_json(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            # each keeps hypothesis_pass and conclusion_pass as derived
+            {"trials": 2, "generated": 5, "hypothesis_pass": 5, "conclusion_pass": 5},
+            {"counterexamples": 3, "conclusion_pass": -1},
+            {"trials": -1, "generated": 0, "hypothesis_pass": 0, "conclusion_pass": 0},
+            {"exemplars": [{"matrix": "1 0\n0 1\n", "verdict": {}}]},
+        ],
+        ids=["generated-over-trials", "counterexamples-over-generated", "negative-trials",
+             "exemplars-over-counterexamples"],
+    )
+    def test_rejects_counts_a_report_cannot_have(self, counts):
+        cfg = GenConfig(tree=make_star(4, 1), entry_range=(1, 150), seed=2)
+        data = json.loads(report_to_json(batch_verify(cfg, 2)))
+        assert (data["trials"], data["generated"], data["counterexamples"]) == (2, 2, 0)
+        data.update(counts)
+        with pytest.raises(ValueError):
+            report_from_json(json.dumps(data))
+
 
 class TestSweep:
     def test_sweep_n3_all_paths_clean(self):

@@ -1,6 +1,8 @@
 import pickle
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,76 @@ class TestMatrixBasics:
     def test_accepts_strings_and_fractions(self):
         m = ExactMatrix([["1/2", 1], [Fraction(3, 4), "2"]])
         assert m.entry(1, 1) == Fraction(1, 2)
+
+
+class TestIntegerMatrices:
+    """Built from Python ints, a matrix converts nothing and reads as before."""
+
+    @staticmethod
+    def _builds(ints):
+        return [
+            ExactMatrix(ints),
+            ExactMatrix([[Fraction(x) for x in row] for row in ints]),
+            ExactMatrix([[str(x) for x in row] for row in ints]),
+            ExactMatrix([[Fraction(x) if (i + j) % 2 else x for j, x in enumerate(row)]
+                         for i, row in enumerate(ints)]),
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_int_fraction_and_str_builds_agree(self, seed):
+        rng = random.Random(seed)
+        n = seed + 1
+        ints = [[rng.randint(-10**15, 10**15) for _ in range(n)] for _ in range(n)]
+        first, *others = self._builds(ints)
+        assert first.cleared == (tuple(map(tuple, ints)), 1)
+        for m in (first, *others):
+            assert m.rows == first.rows
+            assert all(type(x) is Fraction for row in m.rows for x in row)
+            assert type(m.entry(n, 1)) is Fraction and m.entry(n, 1) == ints[-1][0]
+            assert m.cleared == first.cleared
+            assert all(type(x) is int for row in m.cleared[0] for x in row)
+            assert m == first and hash(m) == hash(first)
+            clone = pickle.loads(pickle.dumps(m))
+            assert clone == first and hash(clone) == hash(first)
+            assert (clone.rows, clone.cleared) == (first.rows, first.cleared)
+            assert matrix_to_text(m) == matrix_to_text(first)
+
+    def test_integer_adjugate_equals_the_cofactor_one(self, rng):
+        for n in (2, 3, 4, 5):
+            ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            got = adjugate(ExactMatrix(ints))
+            oracle = TestAdjugate._cofactor_adjugate(
+                ExactMatrix([[Fraction(x) for x in row] for row in ints])
+            )
+            assert got == oracle and hash(got) == hash(oracle)
+            assert (got.rows, got.cleared) == (oracle.rows, oracle.cleared)
+            assert got.cleared[1] == 1
+
+    def test_bool_entries_become_fractions(self):
+        m = ExactMatrix([[True, False], [0, 1]])
+        assert m.rows == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        assert all(type(x) is Fraction for row in m.rows for x in row)
+        assert m.cleared == (((1, 0), (0, 1)), 1)
+        assert all(type(x) is int for row in m.cleared[0] for x in row)
+        assert m == ExactMatrix.identity(2)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[np.int64(1), 2], [3, 4]],
+            [[1, 2], [3, np.int64(4)]],
+            [[1, 2.5], [3, 4]],
+            [[1, 2.5], [3]],
+        ],
+    )
+    def test_non_rational_entries_raise_type_error(self, rows):
+        with pytest.raises(TypeError):
+            ExactMatrix(rows)
+
+    @pytest.mark.parametrize("rows", [[], [[1, 2], [3]], [[1, 2]], [[1], [2]]])
+    def test_malformed_integer_input_raises_value_error(self, rows):
+        with pytest.raises(ValueError):
+            ExactMatrix(rows)
 
 
 class TestMinor:

@@ -11,14 +11,17 @@ to the printed intervals is intended) with
 
     PYTHONPATH=src python tests/test_golden_roots.py
 """
+import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treetp import ExactMatrix, char_poly, real_roots
+from treetp import ExactMatrix, char_poly, real_roots, spectral
+from treetp.exact_linalg import clear_denominators
 from treetp.spectral import ISOLATION_WIDTH
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,6 +100,82 @@ def test_any_estimates_give_the_same_roots(name):
     expected = real_roots(p, refine_to=ISOLATION_WIDTH)
     for estimates in (eig, [], [z * (1 + 1e-3) for z in eig]):
         assert real_roots(p, refine_to=ISOLATION_WIDTH, estimates=estimates) == expected
+
+
+def _always_narrow(p, refine_to):
+    """`real_roots` with its narrowing loop run on every polynomial.
+
+    The reference for the shortcut that skips the loop when one factor
+    has no exact point.  It splits p by Yun's algorithm alone and refines
+    with no guess, since a guess only orders the probes.
+    """
+    f = spectral._primitive(clear_denominators(p.coeffs)[0])
+    f = f if f[-1] > 0 else tuple(-c for c in f)
+    found = []
+    for g, mult in spectral._squarefree_factors(f):
+        intervals, f_ints = spectral._isolate_squarefree(g)
+        found += [(lo, hi, mult, f_ints) for lo, hi in intervals]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in itertools.combinations(range(len(found)), 2):
+            lo1, hi1, m1, f1 = found[i]
+            lo2, hi2, m2, f2 = found[j]
+            if f1 == f2 and lo1 != hi1 and lo2 != hi2 and (hi1 == lo2 or hi2 == lo1):
+                continue
+            if hi1 >= lo2 and hi2 >= lo1:
+                if lo1 != hi1:
+                    found[i] = (*spectral._refine(f1, lo1, hi1, (hi1 - lo1) / 4), m1, f1)
+                    changed = True
+                if lo2 != hi2:
+                    found[j] = (*spectral._refine(f2, lo2, hi2, (hi2 - lo2) / 4), m2, f2)
+                    changed = True
+    out = []
+    for lo, hi, mult, f_ints in found:
+        if refine_to is not None and hi - lo > refine_to:
+            lo, hi = spectral._refine(f_ints, lo, hi, refine_to)
+        out.append((lo, hi, mult, f_ints))
+    return sorted(out, key=lambda r: r[0] + r[1])
+
+
+def _seeded_companion(seed: int) -> list[list[Fraction]]:
+    """Companion matrix of a monic product of rational roots and x^2 - m, with powers."""
+    rng = random.Random(seed)
+    poly = [Fraction(1)]
+    factors = [
+        [Fraction(-rng.randint(-9, 9), rng.randint(1, 4)), 1] for _ in range(rng.randint(1, 3))
+    ]
+    if rng.random() < 0.6:
+        factors.append([Fraction(-rng.randint(2, 7)), 0, 1])
+    for factor in factors:
+        for _ in range(rng.randint(1, 3)):
+            out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+            for i, a in enumerate(poly):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            poly = out
+    return _companion([str(c) for c in poly])
+
+
+NARROWING_CASES = {**MATRICES, **{f"seeded-companion-{s}": _seeded_companion(s) for s in range(40)}}
+
+
+@pytest.mark.parametrize("name", sorted(NARROWING_CASES))
+def test_narrowing_shortcut_matches_always_narrowing(name):
+    # unrefined, the narrowed intervals are the answer; refined, narrowing
+    # only moves where refinement starts on the same dyadic grid
+    p = char_poly(ExactMatrix(NARROWING_CASES[name]))
+    for refine_to in (None, ISOLATION_WIDTH):
+        got = real_roots(p, refine_to=refine_to)
+        expected = _always_narrow(p, refine_to)
+        assert [(r.lo, r.hi, r.multiplicity, r.factor) for r in got] == expected
+
+
+def test_seeded_companions_repeat_factors_and_hit_rational_roots():
+    # the seeded cases reach the narrowing loop: repeated factors and exact points
+    roots = [real_roots(char_poly(ExactMatrix(_seeded_companion(s)))) for s in range(40)]
+    assert sum(any(r.multiplicity > 1 for r in rs) for rs in roots) >= 30
+    assert sum(any(r.is_exact() for r in rs) for rs in roots) >= 30
 
 
 if __name__ == "__main__":

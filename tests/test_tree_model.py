@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,59 @@ class TestMaximalPaths:
                 for a, b in itertools.combinations(p.vertices, 2):
                     cover.add(frozenset((a, b)))
             assert len(cover) == 10
+
+
+def _leaf_pair_paths(tree: LabelledTree) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(leaves, leaf-to-leaf paths) by a fresh breadth-first search on the edge set."""
+    adj = {v: [] for v in range(1, tree.n + 1)}
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    leaves = [v for v in adj if len(adj[v]) == 1]
+    paths = []
+    for a, b in itertools.combinations(leaves, 2):
+        prev = {a: None}
+        queue = [a]
+        for u in queue:
+            for w in adj[u]:
+                if w not in prev:
+                    prev[w] = u
+                    queue.append(w)
+        path = [b]
+        while path[-1] != a:
+            path.append(prev[path[-1]])
+        paths.append(tuple(path) if path[0] < path[-1] else tuple(reversed(path)))
+    return leaves, sorted(paths)
+
+
+class TestStoredPaths:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_tree_matches_a_fresh_recomputation(self, n):
+        for tree in enumerate_labelled_trees(n):
+            leaves, paths = _leaf_pair_paths(tree)
+            assert pendant_vertices(tree) == tuple(leaves)
+            assert [tuple(p.vertices) for p in maximal_paths(tree)] == paths
+
+    def test_mutating_a_returned_list_leaves_the_tree_unchanged(self):
+        tree = make_pitchfork()
+        first = maximal_paths(tree)
+        expected = list(first)
+        first.clear()
+        first.append(maximal_paths(make_star(3, 1))[0])
+        assert maximal_paths(tree) == expected
+        assert maximal_paths(tree) is not maximal_paths(tree)
+
+    def test_one_vertex_tree(self):
+        tree = LabelledTree(1, [])
+        assert pendant_vertices(tree) == ()
+        with pytest.raises(ValueError):
+            maximal_paths(tree)
+
+    def test_pickled_tree_keeps_its_paths(self):
+        tree = make_pitchfork()
+        again = pickle.loads(pickle.dumps(tree))
+        assert maximal_paths(again) == maximal_paths(tree)
+        assert pendant_vertices(again) == pendant_vertices(tree)
 
 
 class TestSigning:
